@@ -81,9 +81,9 @@ fn rogue() { let _h = std::thread::spawn(work); }
     );
 }
 
-/// ND008 is scoped: only the kernel and the worker pool may own raw
-/// threads in sim-state crates, and each primitive carries its own waiver
-/// token so a *new* primitive at a waived path still fires.
+/// ND008 is scoped: only the kernel may own raw threads in sim-state
+/// crates, and each primitive carries its own waiver token so a *new*
+/// primitive at a waived path still fires.
 #[test]
 fn nd008_catches_every_thread_primitive_and_stays_scoped() {
     let fixture = "\

@@ -58,8 +58,8 @@ pub struct RunRecord {
     /// `wall_s`.
     pub profile: Option<HotProfile>,
     /// Peak simulator thread count the cell ran with (deterministic for a
-    /// fixed scheduler mode: the pool's worker count, or the rank count in
-    /// legacy 1:1 mode). Recorded only by the `scale` target; `None` keeps
+    /// fixed scheduler mode: 1 with fibers, the rank count with one thread
+    /// per rank). Recorded only by the `scale` target; `None` keeps
     /// the other targets' artifacts byte-identical to their baselines.
     pub sim_threads: Option<usize>,
 }
@@ -599,7 +599,7 @@ mod tests {
 
     #[test]
     fn sim_threads_round_trips_and_drift_is_a_finding() {
-        let mut s = summary(vec![record("c4x8/pool-w2", 0.1, 2.0)]);
+        let mut s = summary(vec![record("c4x8/fiber", 0.1, 2.0)]);
         s.records[0].sim_threads = Some(2);
         let text = s.to_json();
         assert!(text.contains("\"sim_threads\": 2"), "{text}");

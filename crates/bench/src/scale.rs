@@ -1,21 +1,19 @@
-//! The `scale` target: cluster-count scaling sweep for the N:M rank
-//! scheduler.
+//! The `scale` target: cluster-count scaling sweep of the rank scheduler.
 //!
 //! The paper targets all run the fixed 4x8 machine; this target is about
 //! the *simulator*, not the paper's applications: it sweeps the cluster
 //! count 4 -> 64 (32 -> 4096 ranks) through a synthetic SPMD workload and
 //! records, per cell, the virtual makespan, message counts, checksum and
-//! the peak simulator thread count. Every machine size runs under the N:M
-//! worker pool (several worker counts in the full sweep) and — up to a
-//! rank-count ceiling — under the legacy one-thread-per-rank scheduler,
-//! and the target itself asserts their virtual times are bit-identical:
-//! the sweep doubles as a differential test of the scheduler at sizes the
-//! unit suites never reach.
+//! the peak simulator thread count. Every machine size runs with ranks as
+//! inline fibers and — up to a rank-count ceiling — with one OS thread per
+//! rank, and the target itself asserts their virtual times are
+//! bit-identical: the sweep doubles as a differential test of the scheduler
+//! at sizes the unit suites never reach.
 //!
 //! The workload is three nearest-neighbour ring rounds followed by a
 //! binomial-tree reduction to rank 0 and a binomial-tree broadcast back —
 //! the communication skeleton the paper's applications share — so cells
-//! stress the scheduler's park/wake path (every rendezvous parks a rank)
+//! stress the rank switch path (every rendezvous suspends a rank)
 //! without dragging application problem-size knobs into the grid. The
 //! summary's `scale` is always `"synthetic"` for that reason, like
 //! `selfperf`.
@@ -35,10 +33,10 @@ use crate::{engine, write_csv, BenchError};
 /// the binomial workload phases rely on.
 pub const SCALE_SIZES: [(usize, usize); 5] = [(4, 8), (8, 16), (16, 32), (32, 64), (64, 64)];
 
-/// Ranks above this ceiling skip the legacy scheduler cell: one OS thread
-/// per rank is exactly the regime the worker pool exists to avoid, and
-/// spawning 4096 threads is hostile to CI runners.
-pub const LEGACY_MAX_RANKS: usize = 2048;
+/// Ranks above this ceiling skip the thread-mode cell: one OS thread per
+/// rank is exactly the regime fibers exist to avoid, and spawning 4096
+/// threads is hostile to CI runners.
+pub const THREADS_MAX_RANKS: usize = 2048;
 
 /// Per-rank execution-context stack for scale cells. The synthetic workload
 /// has a shallow call graph, and 4096 ranks at the default 8 MiB would
@@ -114,32 +112,33 @@ impl Cell {
         self.clusters * self.procs
     }
 
-    /// Canonical record key, e.g. `c4x8/pool-w2` or `c4x8/legacy`.
+    /// Canonical record key, e.g. `c4x8/fiber` or `c4x8/threads`.
     fn key(&self) -> String {
         format!("c{}x{}/{}", self.clusters, self.procs, self.mode_name())
     }
 
-    fn mode_name(&self) -> String {
+    fn mode_name(&self) -> &'static str {
         match self.mode {
-            SchedMode::LegacyThreads => "legacy".to_string(),
-            SchedMode::WorkerPool { workers } => format!("pool-w{workers}"),
+            SchedMode::Fiber => "fiber",
+            SchedMode::Threads => "threads",
         }
     }
 
-    /// The thread count the kernel must report for this cell.
+    /// The thread count the kernel must report for this cell: fibers all
+    /// run on the kernel's one thread.
     fn expected_threads(&self) -> usize {
-        match self.mode {
-            SchedMode::LegacyThreads => self.ranks(),
-            SchedMode::WorkerPool { workers } => workers,
+        match self.mode.effective() {
+            SchedMode::Fiber => 1,
+            SchedMode::Threads => self.ranks(),
         }
     }
 }
 
-/// Enumerates the sweep's cells in canonical order: sizes ascending, pool
-/// worker counts ascending, legacy last. The quick grid — what the
-/// committed `BENCH_scale.json` baseline and CI run — keeps one pool cell
-/// per probed size (still reaching the 4096-rank machine) plus one legacy
-/// cell for the differential assert.
+/// Enumerates the sweep's cells in canonical order: sizes ascending, fiber
+/// before threads. The quick grid — what the committed `BENCH_scale.json`
+/// baseline and CI run — keeps one fiber cell per probed size (still
+/// reaching the 4096-rank machine) plus one thread-mode cell for the
+/// differential assert.
 fn cells(quick: bool) -> Vec<Cell> {
     let mut cells = Vec::new();
     for &(clusters, procs) in &SCALE_SIZES {
@@ -147,20 +146,17 @@ fn cells(quick: bool) -> Vec<Cell> {
         if quick && !quick_size {
             continue;
         }
-        let workers: &[usize] = if quick { &[2] } else { &[1, 2, 8] };
-        for &w in workers {
+        cells.push(Cell {
+            clusters,
+            procs,
+            mode: SchedMode::Fiber,
+        });
+        let threads_in_quick = quick && (clusters, procs) == (4, 8);
+        if (threads_in_quick || !quick) && clusters * procs <= THREADS_MAX_RANKS {
             cells.push(Cell {
                 clusters,
                 procs,
-                mode: SchedMode::WorkerPool { workers: w },
-            });
-        }
-        let legacy_in_quick = quick && (clusters, procs) == (4, 8);
-        if (legacy_in_quick || !quick) && clusters * procs <= LEGACY_MAX_RANKS {
-            cells.push(Cell {
-                clusters,
-                procs,
-                mode: SchedMode::LegacyThreads,
+                mode: SchedMode::Threads,
             });
         }
     }
@@ -173,12 +169,12 @@ fn cells(quick: bool) -> Vec<Cell> {
 ///
 /// [`BenchError::Sim`] when a cell fails, reports an unexpected thread
 /// count, or disagrees with another scheduler mode on the same machine
-/// size (virtual time, message counts or checksum) — the N:M determinism
+/// size (virtual time, message counts or checksum) — the scheduler determinism
 /// contract; plus artifact I/O failures.
 pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
     let cells = cells(opts.quick);
     println!(
-        "== scale: N:M scheduler cluster-count sweep (quick={}, jobs={}) ==",
+        "== scale: rank scheduler cluster-count sweep (quick={}, jobs={}) ==",
         opts.quick, opts.jobs
     );
     println!(
@@ -209,10 +205,9 @@ pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
                 return Err(BenchError::Sim(format!("cell {} failed: {e}", cell.key())));
             }
         };
-        // The headline claim of the N:M scheme: thread count is set by the
-        // flag, not the rank count. Only enforced where the worker pool
-        // actually runs (non-x86_64 hosts silently fall back to legacy).
-        if cfg!(target_arch = "x86_64") && report.sim_threads != cell.expected_threads() {
+        // The headline claim of fiber mode: one thread runs every rank,
+        // whatever the rank count.
+        if report.sim_threads != cell.expected_threads() {
             return Err(BenchError::Sim(format!(
                 "cell {}: expected {} simulator thread(s), kernel reports {}",
                 cell.key(),
@@ -232,15 +227,11 @@ pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
             wall
         );
         rows.push(format!(
-            "{},{},{},{},{},{},{},{},{:.6}",
+            "{},{},{},{},{},{},{},{:.6}",
             cell.clusters,
             cell.procs,
             cell.ranks(),
             cell.mode_name(),
-            match cell.mode {
-                SchedMode::LegacyThreads => cell.ranks(),
-                SchedMode::WorkerPool { workers } => workers,
-            },
             report.sim_threads,
             report.elapsed.as_secs_f64(),
             report.kernel_stats.messages,
@@ -261,7 +252,7 @@ pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
             sim_threads: Some(report.sim_threads),
         });
     }
-    // Differential gate: every scheduler mode that ran a given machine size
+    // Differential gate: both scheduler modes that ran a given machine size
     // must agree bit-for-bit on everything virtual.
     for &(clusters, procs) in &SCALE_SIZES {
         let group: Vec<(&Cell, &RunRecord)> = cells
@@ -296,7 +287,7 @@ pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
     write_csv(
         &opts.out,
         "scale.csv",
-        "clusters,procs,ranks,mode,workers,sim_threads,virtual_s,messages,checksum",
+        "clusters,procs,ranks,mode,sim_threads,virtual_s,messages,checksum",
         &rows,
     )?;
     let path = opts.out.join("BENCH_scale.json");
@@ -310,13 +301,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_grid_reaches_the_largest_machine_and_keeps_a_legacy_cell() {
+    fn quick_grid_reaches_the_largest_machine_and_keeps_a_threads_cell() {
         let quick = cells(true);
         assert!(quick.iter().any(|c| c.ranks() == 4096));
         assert_eq!(
             quick
                 .iter()
-                .filter(|c| c.mode == SchedMode::LegacyThreads)
+                .filter(|c| c.mode == SchedMode::Threads)
                 .count(),
             1
         );
@@ -328,10 +319,10 @@ mod tests {
     }
 
     #[test]
-    fn full_grid_never_spawns_legacy_above_the_ceiling() {
+    fn full_grid_never_spawns_threads_above_the_ceiling() {
         for c in cells(false) {
-            if c.mode == SchedMode::LegacyThreads {
-                assert!(c.ranks() <= LEGACY_MAX_RANKS, "{}", c.key());
+            if c.mode == SchedMode::Threads {
+                assert!(c.ranks() <= THREADS_MAX_RANKS, "{}", c.key());
             }
         }
     }
@@ -343,8 +334,8 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), all.len());
-        assert!(all.contains(&"c4x8/pool-w2".to_string()));
-        assert!(all.contains(&"c4x8/legacy".to_string()));
+        assert!(all.contains(&"c4x8/fiber".to_string()));
+        assert!(all.contains(&"c4x8/threads".to_string()));
     }
 
     #[test]
@@ -356,12 +347,12 @@ mod tests {
                 .run(scale_rank)
                 .expect("scale workload runs")
         };
-        let legacy = run(SchedMode::LegacyThreads);
-        let pool = run(SchedMode::WorkerPool { workers: 2 });
-        assert_eq!(legacy.elapsed, pool.elapsed);
-        assert_eq!(legacy.kernel_stats, pool.kernel_stats);
-        let s1: f64 = legacy.results.iter().sum();
-        let s2: f64 = pool.results.iter().sum();
+        let threads = run(SchedMode::Threads);
+        let fiber = run(SchedMode::Fiber);
+        assert_eq!(threads.elapsed, fiber.elapsed);
+        assert_eq!(threads.kernel_stats, fiber.kernel_stats);
+        let s1: f64 = threads.results.iter().sum();
+        let s2: f64 = fiber.results.iter().sum();
         assert_eq!(s1.to_bits(), s2.to_bits());
     }
 }

@@ -178,9 +178,9 @@ pub struct MachineArgs {
     /// Wide-area wiring between cluster gateways (`--topology`); the
     /// default full mesh reproduces the paper's machine bit-for-bit.
     pub wan_topology: WanTopology,
-    /// Rank scheduler selection (`--sim-workers`): `N` multiplexes all
-    /// ranks onto an `N`-thread worker pool, `legacy` keeps one OS thread
-    /// per rank. `None` uses the simulator's default (a 1-worker pool).
+    /// Rank scheduler selection (`--sim-mode`): `fiber` runs every rank
+    /// inline on the kernel's thread, `threads` keeps one OS thread per
+    /// rank. `None` uses the simulator's default (fibers).
     pub sched_mode: Option<SchedMode>,
 }
 
@@ -430,8 +430,8 @@ pub struct BenchArgs {
     /// `None` (the default) keeps every target bit-identical to the
     /// committed baselines.
     pub topology: Option<WanTopology>,
-    /// Rank scheduler selection (`--sim-workers`) applied to every cell.
-    pub sim_workers: Option<SchedMode>,
+    /// Rank scheduler selection (`--sim-mode`) applied to every cell.
+    pub sim_mode: Option<SchedMode>,
 }
 
 /// Flags of the `selfperf` command.
@@ -444,8 +444,8 @@ pub struct SelfperfArgs {
     pub quick: bool,
     /// Output directory (`REPRO_OUT` / `bench_results` when unset).
     pub out: Option<String>,
-    /// Rank scheduler selection (`--sim-workers`) applied to every cell.
-    pub sim_workers: Option<SchedMode>,
+    /// Rank scheduler selection (`--sim-mode`) applied to every cell.
+    pub sim_mode: Option<SchedMode>,
 }
 
 /// Flags of the `hostile` command.
@@ -464,8 +464,8 @@ pub struct HostileArgs {
     /// Wide-area wiring override (`--topology`) applied to every scenario
     /// machine; `None` keeps the full mesh the baseline was recorded on.
     pub topology: Option<WanTopology>,
-    /// Rank scheduler selection (`--sim-workers`) applied to every cell.
-    pub sim_workers: Option<SchedMode>,
+    /// Rank scheduler selection (`--sim-mode`) applied to every cell.
+    pub sim_mode: Option<SchedMode>,
 }
 
 /// Flags of the `serve` command.
@@ -480,8 +480,8 @@ pub struct ServeCmdArgs {
     pub cache_capacity: usize,
     /// Per-request wall-clock budget, milliseconds.
     pub deadline_ms: u64,
-    /// Rank scheduler selection (`--sim-workers`) for replayed recordings.
-    pub sim_workers: Option<SchedMode>,
+    /// Rank scheduler selection (`--sim-mode`) for replayed recordings.
+    pub sim_mode: Option<SchedMode>,
 }
 
 /// Flags of the `predict` command.
@@ -511,8 +511,8 @@ pub struct PredictArgs {
     /// Wide-area wiring override (`--topology`) for both the recording
     /// machine and every replayed grid point; `None` keeps the full mesh.
     pub topology: Option<WanTopology>,
-    /// Rank scheduler selection (`--sim-workers`) applied to every cell.
-    pub sim_workers: Option<SchedMode>,
+    /// Rank scheduler selection (`--sim-mode`) applied to every cell.
+    pub sim_mode: Option<SchedMode>,
 }
 
 /// A parse failure with a user-facing message.
@@ -577,19 +577,16 @@ fn parse_prob(flag: &str, v: &str) -> Result<f64, ParseError> {
     Ok(p)
 }
 
-/// Parses `--sim-workers`: a worker-pool size, or `legacy` for the
+/// Parses `--sim-mode`: `fiber`, or `threads` for the
 /// one-OS-thread-per-rank oracle mode.
-fn parse_sim_workers(v: &str) -> Result<SchedMode, ParseError> {
-    if v.eq_ignore_ascii_case("legacy") {
-        return Ok(SchedMode::LegacyThreads);
+fn parse_sim_mode(v: &str) -> Result<SchedMode, ParseError> {
+    match v.to_ascii_lowercase().as_str() {
+        "fiber" => Ok(SchedMode::Fiber),
+        "threads" => Ok(SchedMode::Threads),
+        _ => Err(ParseError(format!(
+            "--sim-mode must be 'fiber' or 'threads', got '{v}'"
+        ))),
     }
-    let n: usize = parse_num("--sim-workers", v)?;
-    if n == 0 {
-        return Err(ParseError(
-            "--sim-workers must be at least 1, or 'legacy'".into(),
-        ));
-    }
-    Ok(SchedMode::WorkerPool { workers: n })
 }
 
 /// Parses `cluster:from_ms:until_ms` for `--outage`.
@@ -698,9 +695,7 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
                 machine.wan_topology = t;
                 wan_topology = Some(t);
             }
-            "--sim-workers" => {
-                machine.sched_mode = Some(parse_sim_workers(take_value(flag, &mut it)?)?)
-            }
+            "--sim-mode" => machine.sched_mode = Some(parse_sim_mode(take_value(flag, &mut it)?)?),
             "--verify" => verify = true,
             "--stones" => stones = parse_num(flag, take_value(flag, &mut it)?)?,
             "--trace" => trace = Some(take_value(flag, &mut it)?.to_string()),
@@ -957,20 +952,20 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
             threshold,
             virtual_only,
             topology: wan_topology,
-            sim_workers: machine.sched_mode,
+            sim_mode: machine.sched_mode,
         })),
         "selfperf" => Ok(Command::Selfperf(SelfperfArgs {
             jobs,
             quick,
             out,
-            sim_workers: machine.sched_mode,
+            sim_mode: machine.sched_mode,
         })),
         "serve" => Ok(Command::Serve(ServeCmdArgs {
             port,
             workers: workers.or(jobs),
             cache_capacity,
             deadline_ms,
-            sim_workers: machine.sched_mode,
+            sim_mode: machine.sched_mode,
         })),
         "hostile" => Ok(Command::Hostile(HostileArgs {
             jobs,
@@ -978,7 +973,7 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
             quick,
             out,
             topology: wan_topology,
-            sim_workers: machine.sched_mode,
+            sim_mode: machine.sched_mode,
         })),
         "predict" => Ok(Command::Predict(PredictArgs {
             apps,
@@ -992,7 +987,7 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
             validate,
             max_error,
             topology: wan_topology,
-            sim_workers: machine.sched_mode,
+            sim_mode: machine.sched_mode,
         })),
         "info" => Ok(Command::Info(machine)),
         "awari-db" => Ok(Command::AwariDb { stones, machine }),
@@ -1045,11 +1040,11 @@ MACHINE OPTIONS:
                              must fit the cluster count (exit 2 if not);
                              bench/hostile/predict validate against their
                              fixed 4-cluster machine.
-  --sim-workers <N|legacy>   rank scheduler (any command): multiplex all
-                             ranks onto an N-thread worker pool, or
-                             'legacy' for one OS thread per rank (the
-                             differential oracle). Virtual time is
-                             bit-identical across every choice [default: 1]
+  --sim-mode <fiber|threads> rank scheduler (any command): 'fiber' runs
+                             every rank inline on the simulator's own
+                             thread; 'threads' gives each rank an OS
+                             thread (the differential oracle). Virtual time
+                             is bit-identical in both    [default: fiber]
 
 HOSTILE-NETWORK OPTIONS (any command; soak sweeps comma lists of the
 first three as matrix dimensions):
@@ -1109,8 +1104,8 @@ BENCH OPTIONS:
   pool and writes <target>.csv plus a versioned BENCH_<target>.json
   summary. Artifacts are byte-identical for any --jobs value.
   The scale target sweeps cluster counts 4..64 (32..4096 ranks) through
-  a synthetic SPMD workload under both the N:M worker pool and the
-  legacy 1:1 scheduler, asserts their virtual times match, and records
+  a synthetic SPMD workload with ranks as inline fibers and as one OS
+  thread each, asserts their virtual times match, and records
   each cell's simulator thread count (scale.csv / BENCH_scale.json).
   --compare <OLD> <NEW>      diff two BENCH_*.json files instead of running;
                              determinism drift and wall-clock regressions
@@ -1217,7 +1212,7 @@ EXIT CODES:
 ";
 
 impl Command {
-    /// The `--sim-workers` scheduler selection this command carries, if
+    /// The `--sim-mode` scheduler selection this command carries, if
     /// any; `execute` installs it as the process-wide default so every
     /// machine the command builds (including those assembled deep inside
     /// bench targets and the serve cache) runs under it.
@@ -1227,11 +1222,11 @@ impl Command {
             Command::Suite(m) | Command::Info(m) => m.sched_mode,
             Command::Check(a) => a.machine.sched_mode,
             Command::Soak(a) => a.machine.sched_mode,
-            Command::Bench(a) => a.sim_workers,
-            Command::Predict(a) => a.sim_workers,
-            Command::Selfperf(a) => a.sim_workers,
-            Command::Hostile(a) => a.sim_workers,
-            Command::Serve(a) => a.sim_workers,
+            Command::Bench(a) => a.sim_mode,
+            Command::Predict(a) => a.sim_mode,
+            Command::Selfperf(a) => a.sim_mode,
+            Command::Hostile(a) => a.sim_mode,
+            Command::Serve(a) => a.sim_mode,
             Command::AwariDb { machine, .. } => machine.sched_mode,
             Command::Audit(_) | Command::Help => None,
         }
@@ -2467,33 +2462,27 @@ mod tests {
     }
 
     #[test]
-    fn parses_sim_workers() {
-        match parse(&["run", "--app", "fft", "--sim-workers", "8"]).unwrap() {
-            Command::Run(args) => assert_eq!(
-                args.machine.sched_mode,
-                Some(SchedMode::WorkerPool { workers: 8 })
-            ),
+    fn parses_sim_mode() {
+        match parse(&["run", "--app", "fft", "--sim-mode", "threads"]).unwrap() {
+            Command::Run(args) => assert_eq!(args.machine.sched_mode, Some(SchedMode::Threads)),
             other => panic!("expected run, got {other:?}"),
         }
-        match parse(&["check", "--sim-workers", "legacy"]).unwrap() {
+        match parse(&["check", "--sim-mode", "fiber"]).unwrap() {
             Command::Check(args) => {
-                assert_eq!(args.machine.sched_mode, Some(SchedMode::LegacyThreads));
+                assert_eq!(args.machine.sched_mode, Some(SchedMode::Fiber));
             }
             other => panic!("expected check, got {other:?}"),
         }
-        match parse(&["bench", "--target", "scale", "--sim-workers", "2"]).unwrap() {
+        match parse(&["bench", "--target", "scale", "--sim-mode", "threads"]).unwrap() {
             Command::Bench(args) => {
                 assert_eq!(args.target, "scale");
-                assert_eq!(args.sim_workers, Some(SchedMode::WorkerPool { workers: 2 }));
-                assert_eq!(
-                    Command::Bench(args).sched_mode(),
-                    Some(SchedMode::WorkerPool { workers: 2 })
-                );
+                assert_eq!(args.sim_mode, Some(SchedMode::Threads));
+                assert_eq!(Command::Bench(args).sched_mode(), Some(SchedMode::Threads));
             }
             other => panic!("expected bench, got {other:?}"),
         }
-        assert!(parse(&["run", "--app", "fft", "--sim-workers", "0"]).is_err());
-        assert!(parse(&["run", "--app", "fft", "--sim-workers", "turbo"]).is_err());
+        assert!(parse(&["run", "--app", "fft", "--sim-mode", "pool"]).is_err());
+        assert!(parse(&["run", "--app", "fft", "--sim-workers", "2"]).is_err());
         match parse(&["run", "--app", "fft"]).unwrap() {
             Command::Run(args) => {
                 assert_eq!(

@@ -5,7 +5,7 @@
 //! queued sends nothing (so no observer event exists to flag), and barrier
 //! epoch skew is only meaningful when compared *across* ranks after the run.
 //!
-//! Each simulated process thread gets a thread-local sink, armed by
+//! Each simulated process gets a thread-local sink, armed by
 //! [`crate::Machine`] around the rank entry function. Runtime primitives
 //! report into it from their `Drop` impls; the records come back per rank in
 //! [`crate::RunReport::rank_lints`], where `numagap-analysis` turns them
@@ -87,13 +87,13 @@ pub fn report(record: LintRecord) {
 }
 
 /// Exchanges the thread-local sink with a rank's saved slot — the
-/// rank-locals swapper [`crate::Machine`] registers with the simulator's
-/// worker-pool scheduler. In N:M mode several ranks share each worker
-/// thread, so the sink travels with the rank's execution context instead of
-/// the thread: the scheduler calls this immediately before a fiber resume
-/// (loading the rank's sink) and immediately after (saving it back). The
-/// `slot` is type-erased by the scheduler; it always holds an
-/// `Option<Vec<LintRecord>>`, lazily initialized to the disarmed state.
+/// rank-locals swapper [`crate::Machine`] registers with the simulator. In
+/// fiber mode every rank runs on the kernel's thread, so the sink travels
+/// with the rank's execution context instead of the thread: the kernel calls
+/// this immediately before a fiber resume (loading the rank's sink) and
+/// immediately after (saving it back). The `slot` is type-erased by the
+/// kernel; it always holds an `Option<Vec<LintRecord>>`, lazily initialized
+/// to the disarmed state.
 pub(crate) fn swap_sink(slot: &mut Option<Box<dyn std::any::Any + Send>>) {
     let boxed = slot
         .get_or_insert_with(|| Box::new(None::<Vec<LintRecord>>) as Box<dyn std::any::Any + Send>);

@@ -51,10 +51,10 @@ impl Machine {
     }
 
     /// Selects how the simulator maps ranks onto OS threads (see
-    /// [`SchedMode`]): the legacy 1 rank = 1 thread mode, or the N:M worker
-    /// pool that thousand-rank scaling studies need. Virtual time is
-    /// bit-identical across modes and worker counts. Defaults to the
-    /// simulator's process-global mode (the CLI's `--sim-workers` flag).
+    /// [`SchedMode`]): every rank a fiber resumed inline on the kernel's
+    /// thread, or one OS thread per rank. Virtual time is bit-identical
+    /// across modes. Defaults to the simulator's process-global mode (the
+    /// CLI's `--sim-mode` flag).
     pub fn with_sched_mode(mut self, mode: SchedMode) -> Self {
         self.sched_mode = Some(mode);
         self
@@ -176,9 +176,10 @@ impl Machine {
         if let Some(bytes) = self.stack_size {
             sim.stack_size(bytes);
         }
-        // Keep each rank's lint sink with its execution context: in N:M
-        // mode ranks share worker threads, so the plain thread-local would
-        // bleed records across ranks (see `lint::swap_sink`).
+        // Keep each rank's lint sink with its execution context: in fiber
+        // mode all ranks share the kernel's thread, so the plain
+        // thread-local would bleed records across ranks (see
+        // `lint::swap_sink`).
         sim.set_rank_locals_swapper(lint::swap_sink);
         if let Some(limit) = self.time_limit {
             sim.time_limit(SimTime::ZERO + limit);
@@ -272,8 +273,8 @@ pub struct RunReport<T> {
     pub transport_stats: Vec<TransportStats>,
     /// The spec the machine ran with.
     pub spec: TwoLayerSpec,
-    /// Peak number of OS threads the simulator used to execute ranks (the
-    /// worker-pool size in N:M mode, the rank count in legacy mode).
+    /// Peak number of OS threads the simulator used to execute ranks (1 in
+    /// fiber mode, the rank count in thread mode).
     pub sim_threads: usize,
 }
 

@@ -1,7 +1,8 @@
-//! The kernel ↔ process control handoff: a one-slot parked rendezvous.
+//! The kernel ↔ process control handoff of the 1:1 thread mode: a one-slot
+//! parked rendezvous.
 //!
-//! Each simulated process is an OS thread, and every simulated operation is
-//! a strict rendezvous with the kernel: the process publishes a [`Request`]
+//! In [`crate::SchedMode::Threads`] each simulated process is an OS thread,
+//! and every simulated operation is a strict rendezvous with the kernel: the process publishes a [`Request`]
 //! and sleeps until the kernel publishes the completing [`Grant`]. The
 //! original implementation used a pair of `std::sync::mpsc` channels per
 //! process, which costs two channel sends (each with its own lock, queue
@@ -64,16 +65,8 @@ struct Slot {
     proc_parked: bool,
     /// The kernel is parked on `to_kernel` waiting for this process.
     kernel_parked: bool,
-    /// N:M mode: the process *fiber* yielded back to the scheduler and
-    /// needs a [`crate::sched`] wake to resume — distinct from
-    /// `proc_parked`, which records a real OS-thread park (and feeds the
-    /// `park_wakes` counter, which must keep meaning futex-level wakes).
-    sched_parked: bool,
     /// The process side was dropped; no request will ever arrive again.
     proc_gone: bool,
-    /// N:M mode: panic message captured by the fiber's `catch_unwind`
-    /// before it hung up (there is no thread join to harvest it from).
-    failure: Option<String>,
     /// Condvar notifies issued while the peer was recorded as parked.
     park_wakes: u64,
 }
@@ -96,11 +89,8 @@ impl Handoff {
     }
 
     /// Kernel side: publishes a grant, waking the process if it is parked.
-    /// Returns `Err(Hangup)` if the process side already hung up, and
-    /// otherwise whether the process fiber is parked on the scheduler and
-    /// needs a [`crate::sched::Scheduler::wake`] to resume (always `false`
-    /// in legacy 1:1 mode, where the thread wake happens right here).
-    pub(crate) fn grant(&self, grant: Grant) -> Result<bool, Hangup> {
+    /// Returns `Err(Hangup)` if the process side already hung up.
+    pub(crate) fn grant(&self, grant: Grant) -> Result<(), Hangup> {
         let mut s = self.slot.lock().expect("handoff mutex poisoned");
         if s.proc_gone {
             return Err(Hangup);
@@ -111,9 +101,7 @@ impl Handoff {
             s.park_wakes += 1;
             self.to_proc.notify_one();
         }
-        let needs_wake = s.sched_parked;
-        s.sched_parked = false;
-        Ok(needs_wake)
+        Ok(())
     }
 
     /// Kernel side: takes the next request, spinning briefly before
@@ -189,77 +177,16 @@ impl Handoff {
         }
     }
 
-    /// N:M mode: the process fiber's grant wait. Identical protocol to
-    /// [`Self::wait_grant`], but instead of parking the OS thread it marks
-    /// the slot scheduler-parked and yields the *fiber* back to its worker;
-    /// the kernel's next grant sees the mark and issues a scheduler wake.
-    /// The mark is set and the grant checked under one lock acquisition, so
-    /// a grant can never slip between the check and the yield unnoticed —
-    /// it either lands in the spin window (no scheduler interaction) or
-    /// observes `sched_parked` and wakes the fiber.
-    pub(crate) fn wait_grant_fiber(&self) -> Grant {
-        loop {
-            for i in 0..SPIN + YIELDS {
-                if let Ok(mut s) = self.slot.try_lock() {
-                    if let Some(grant) = s.grant.take() {
-                        return grant;
-                    }
-                }
-                if i < SPIN {
-                    crate::sync::spin_loop();
-                } else {
-                    crate::sync::yield_now();
-                }
-            }
-            {
-                let mut s = self.slot.lock().expect("handoff mutex poisoned");
-                if let Some(grant) = s.grant.take() {
-                    return grant;
-                }
-                s.sched_parked = true;
-            }
-            crate::fiber::yield_now();
-        }
-    }
-
-    /// N:M mode: arms the scheduler-park mark on a brand-new rank whose
-    /// fiber has never run, so the kernel's very first grant reports
-    /// `needs_wake` and dispatches the fiber for the first time.
-    pub(crate) fn prime_sched_parked(&self) {
-        let mut s = self.slot.lock().expect("handoff mutex poisoned");
-        s.sched_parked = true;
-    }
-
     /// Process side: marks the slot dead on thread exit (normal or panic)
     /// and wakes the kernel if it is waiting for a request that will never
     /// come. Called from [`crate::process::HangupGuard`]'s `Drop`.
     pub(crate) fn hangup(&self) {
-        self.hangup_with(None);
-    }
-
-    /// N:M mode: hangs up and simultaneously records the panic message the
-    /// fiber's `catch_unwind` captured (if any), under one lock, so the
-    /// kernel can never observe the hangup without the failure being
-    /// readable via [`Self::take_failure`].
-    pub(crate) fn hangup_with(&self, failure: Option<String>) {
         let mut s = self.slot.lock().expect("handoff mutex poisoned");
         s.proc_gone = true;
-        if failure.is_some() {
-            s.failure = failure;
-        }
         if s.kernel_parked {
             s.park_wakes += 1;
             self.to_kernel.notify_one();
         }
-    }
-
-    /// Kernel side: takes the panic message recorded by a fiber hangup.
-    pub(crate) fn take_failure(&self) -> Option<String> {
-        self.slot
-            .lock()
-            .expect("handoff mutex poisoned")
-            .failure
-            .take()
     }
 
     /// Total condvar notifies that woke an actually-parked peer, both

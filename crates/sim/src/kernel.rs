@@ -1,18 +1,20 @@
 //! The discrete-event kernel: event queue, process scheduling, delivery.
 //!
 //! Determinism: the kernel processes events in strict `(time, sequence)`
-//! order and runs exactly one process thread at a time, so a run's outcome
-//! depends only on its inputs — never on host thread scheduling. This is
-//! verified by integration tests that compare repeated runs bit-for-bit,
-//! and pinned by the golden makespan suite (`tests/golden_makespan.rs`).
+//! order and runs exactly one process at a time, so a run's outcome depends
+//! only on its inputs — never on host thread scheduling. This is verified
+//! by integration tests that compare repeated runs bit-for-bit, and pinned
+//! by the golden makespan suite (`tests/golden_makespan.rs`).
 //!
 //! The hot path is built from three pieces, each chosen for the strict
 //! alternation the rendezvous protocol guarantees:
 //!
-//! * [`crate::handoff`] — a one-slot `Mutex`/`Condvar` handoff per process
-//!   replaces the old pair of mpsc channels (two channel sends per virtual
-//!   context switch); waiters spin briefly, so the common handoff costs no
-//!   thread wake at all.
+//! * rank switches — in [`SchedMode::Fiber`] (the default) the kernel
+//!   resumes the granted rank's [`crate::fiber`] inline on its own thread
+//!   and the rank yields back with its next request in a plain per-rank
+//!   slot: one thread runs the whole simulation, with no lock on the path.
+//!   [`SchedMode::Threads`] keeps one OS thread per rank behind the
+//!   [`crate::handoff`] slot, as the portable fallback and the oracle.
 //! * [`crate::mailbox`] — tag-indexed mailboxes replace the linear
 //!   `VecDeque` scan while returning bit-identical matches.
 //! * [`crate::equeue`] — a one-slot front buffer in front of the event
@@ -23,6 +25,9 @@
 //! surfaces those counters as a benchmark artifact.
 
 use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -31,13 +36,12 @@ use serde::{Deserialize, Serialize};
 use crate::equeue::{EventEntry, EventKind, EventQueue, TieBreak};
 use crate::error::{PendingMessage, ProcFailure, SimError, WaitState};
 use crate::fiber::Fiber;
-use crate::handoff::Handoff;
+use crate::handoff::{Handoff, Hangup};
 use crate::mailbox::{Mailbox, MailboxCounters};
 use crate::message::{self, Filter, Message, Payload, Tag};
 use crate::network::{FaultEvent, FaultKind, Network};
 use crate::observe::Observer;
-use crate::process::{AbortToken, Grant, HangupGuard, ProcCtx, Request};
-use crate::sched::{LocalsSwapper, SchedMode, SchedReport, Scheduler, Task};
+use crate::process::{AbortToken, Baton, Grant, HangupGuard, Link, ProcCtx, Request};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceLog;
 use crate::ProcId;
@@ -61,6 +65,57 @@ pub struct ProcStats {
     pub msgs_received: u64,
     /// Virtual time at which this process exited.
     pub exit_at: SimTime,
+    /// Payload bytes this process deep-copied out of received messages
+    /// (its share of [`HotProfile::bytes_cloned`]).
+    pub bytes_cloned: u64,
+}
+
+/// How simulated ranks are mapped onto OS threads. Virtual time is
+/// bit-identical in both modes; only host cost differs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchedMode {
+    /// Every rank is a fiber that the kernel resumes inline on its own
+    /// thread: one thread runs the whole simulation. The default where
+    /// fibers are supported (x86-64 Linux).
+    Fiber,
+    /// One dedicated OS thread per rank, handing control back and forth
+    /// through a parked slot. The portable fallback, and the differential
+    /// oracle the fiber mode is checked against.
+    Threads,
+}
+
+impl SchedMode {
+    /// The mode a run asking for `self` actually uses: [`SchedMode::Fiber`]
+    /// falls back to [`SchedMode::Threads`] on hosts without fiber support.
+    pub fn effective(self) -> SchedMode {
+        if crate::fiber::SUPPORTED {
+            self
+        } else {
+            SchedMode::Threads
+        }
+    }
+}
+
+/// Process-global default [`SchedMode`]: 0 = unset, 1 = fiber, 2 = threads.
+static DEFAULT_MODE: AtomicU8 = AtomicU8::new(0);
+
+/// Sets the process-global default scheduler mode used by every
+/// subsequently started [`Sim`] that does not override it. Last write wins;
+/// typically called once by the CLI from `--sim-mode`.
+pub fn set_default_sched_mode(mode: SchedMode) {
+    let enc = match mode {
+        SchedMode::Fiber => 1,
+        SchedMode::Threads => 2,
+    };
+    DEFAULT_MODE.store(enc, Ordering::Relaxed);
+}
+
+/// The last value passed to [`set_default_sched_mode`], else fibers.
+fn default_sched_mode() -> SchedMode {
+    match DEFAULT_MODE.load(Ordering::Relaxed) {
+        2 => SchedMode::Threads,
+        _ => SchedMode::Fiber,
+    }
 }
 
 /// Whole-run accounting collected by the kernel.
@@ -89,21 +144,22 @@ pub struct KernelStats {
 ///
 /// Every field except [`HotProfile::park_wakes`] is a pure function of the
 /// simulated program and spec — deterministic across runs, machines and
-/// worker counts, and safe to compare exactly. `park_wakes` measures real
+/// scheduler modes, and safe to compare exactly. `park_wakes` measures real
 /// thread wakes and legitimately varies with host timing (a handoff that
 /// completes inside the spin window wakes nobody); benchmark comparison
 /// treats it like wall-clock time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HotProfile {
-    /// Virtual context switches: grants handed to process threads.
+    /// Virtual context switches: grants handed to processes.
     pub switches: u64,
-    /// Requests serviced from process threads.
+    /// Requests serviced from processes.
     pub requests: u64,
     /// Condvar notifies that woke an actually-parked peer (either
-    /// direction). **Host-timing dependent**; excluded from exact compare.
-    /// The legacy mpsc handoff paid one wake per channel send — about
-    /// `switches + requests` — so `park_wakes / events` against that sum
-    /// is the headline `selfperf` ratio.
+    /// direction) in [`SchedMode::Threads`]; always 0 in fiber mode, which
+    /// parks nothing. **Host-timing dependent**; excluded from exact
+    /// compare. The legacy mpsc handoff paid one wake per channel send —
+    /// about `switches + requests` — so `park_wakes / events` against that
+    /// sum is the headline `selfperf` ratio.
     pub park_wakes: u64,
     /// Event-queue entries that entered the binary heap proper.
     pub heap_pushes: u64,
@@ -145,15 +201,15 @@ pub struct RunOutcome<N> {
     pub network: N,
     /// The execution trace, if tracing was enabled.
     pub trace: Option<TraceLog>,
-    /// Peak number of OS threads the simulator used to execute ranks: the
-    /// worker count under [`SchedMode::WorkerPool`], the rank count under
-    /// [`SchedMode::LegacyThreads`]. (The kernel's own thread is on top.)
+    /// Peak number of OS threads that executed ranks: 1 under
+    /// [`SchedMode::Fiber`] (the kernel's own thread), the rank count under
+    /// [`SchedMode::Threads`] (on top of the kernel's thread).
     pub sim_threads: usize,
     /// Rank dispatch order: the sequence of grants the kernel issued, one
     /// entry per context switch into a rank. Recorded only when
     /// [`Sim::record_dispatch`] was enabled; `None` otherwise. A pure
     /// function of the canonical event order — identical across scheduler
-    /// modes, worker counts, and reruns.
+    /// modes and reruns.
     pub dispatch: Option<Vec<u32>>,
 }
 
@@ -179,9 +235,122 @@ enum ProcState {
     Done,
 }
 
+/// A rank's execution context.
+enum Exec {
+    /// [`SchedMode::Fiber`]: resumed inline at the kernel's grant site.
+    Fiber {
+        fiber: Fiber,
+        baton: Rc<Baton>,
+        finished: bool,
+        /// The rank's payload-clone byte counter while it is suspended.
+        clone_bytes: u64,
+        /// The rank's embedder state while it is suspended (see
+        /// [`Sim::set_rank_locals_swapper`]).
+        locals: Option<Box<dyn Any + Send>>,
+    },
+    /// [`SchedMode::Threads`]: a dedicated OS thread behind a handoff.
+    Thread {
+        handoff: Arc<Handoff>,
+        join: Option<JoinHandle<()>>,
+    },
+}
+
+impl Exec {
+    fn fiber(rank: usize, nprocs: usize, stack_size: usize, entry: Entry) -> Self {
+        let baton = Rc::new(Baton::default());
+        let link = Rc::clone(&baton);
+        let fiber = Fiber::new(
+            stack_size,
+            Box::new(move || {
+                let report = Rc::clone(&link);
+                let outcome = catch_unwind(AssertUnwindSafe(move || {
+                    let mut ctx = ProcCtx::new(ProcId(rank), nprocs, Link::Fiber(link));
+                    ctx.start();
+                    let result = entry(&mut ctx);
+                    ctx.finish(result);
+                }));
+                // A panic stays inside its own fiber; the kernel reads the
+                // message once the fiber has returned without an `Exit`.
+                if let Err(payload) = outcome {
+                    report.failure.set(Some(panic_message(&*payload)));
+                }
+            }),
+        );
+        Exec::Fiber {
+            fiber,
+            baton,
+            finished: false,
+            clone_bytes: 0,
+            locals: None,
+        }
+    }
+
+    fn thread(rank: usize, nprocs: usize, stack_size: usize, entry: Entry) -> Self {
+        let handoff = Arc::new(Handoff::new());
+        let guard = HangupGuard(Arc::clone(&handoff));
+        let join = std::thread::Builder::new()
+            .name(format!("simproc-{rank}"))
+            .stack_size(stack_size)
+            .spawn(move || {
+                message::reset_clone_bytes();
+                let mut ctx = ProcCtx::new(ProcId(rank), nprocs, Link::Thread(guard));
+                ctx.start();
+                let result = entry(&mut ctx);
+                ctx.finish(result);
+            })
+            .expect("failed to spawn simulated process thread");
+        Exec::Thread {
+            handoff,
+            join: Some(join),
+        }
+    }
+
+    /// Takes the request the rank posted with its last yield or handoff;
+    /// `Err(Hangup)` once the rank is gone without one (it panicked).
+    fn recv_request(&mut self) -> Result<Request, Hangup> {
+        match self {
+            Exec::Fiber {
+                baton, finished, ..
+            } => {
+                let req = baton.request.take();
+                debug_assert!(req.is_some() || *finished, "rank yielded without a request");
+                req.ok_or(Hangup)
+            }
+            Exec::Thread { handoff, .. } => handoff.recv_request(),
+        }
+    }
+
+    /// The panic message of a rank that hung up without exiting.
+    fn failure(&mut self) -> String {
+        let message = match self {
+            Exec::Fiber { baton, .. } => baton.failure.take(),
+            Exec::Thread { join, .. } => join
+                .take()
+                .and_then(|j| j.join().err())
+                .map(|payload| panic_message(&*payload)),
+        };
+        message.unwrap_or_else(|| "<process hung up without panicking>".to_string())
+    }
+
+    /// Joins a finished rank's thread (a no-op for fibers).
+    fn reap(&mut self) {
+        if let Exec::Thread { join, .. } = self {
+            if let Some(join) = join.take() {
+                let _ = join.join();
+            }
+        }
+    }
+
+    fn park_wakes(&self) -> u64 {
+        match self {
+            Exec::Fiber { .. } => 0,
+            Exec::Thread { handoff, .. } => handoff.park_wakes(),
+        }
+    }
+}
+
 struct ProcSlot {
-    handoff: Arc<Handoff>,
-    join: Option<JoinHandle<()>>,
+    exec: Exec,
     mailbox: Mailbox,
     state: ProcState,
     clock: SimTime,
@@ -192,6 +361,10 @@ struct ProcSlot {
 }
 
 type Entry = Box<dyn FnOnce(&mut ProcCtx) -> Box<dyn Any + Send> + Send + 'static>;
+
+/// Exchanges an embedder's thread-local rank state with a rank's saved slot
+/// (see [`Sim::set_rank_locals_swapper`]).
+type LocalsSwapFn = dyn Fn(&mut Option<Box<dyn Any + Send>>) + Send + Sync;
 
 /// A configured simulation, ready to run.
 ///
@@ -221,7 +394,7 @@ pub struct Sim<N: Network> {
     tie_break: TieBreak,
     sched_mode: Option<SchedMode>,
     record_dispatch: bool,
-    locals_swapper: Option<LocalsSwapper>,
+    locals_swapper: Option<Box<LocalsSwapFn>>,
 }
 
 impl<N: Network + std::fmt::Debug> std::fmt::Debug for Sim<N> {
@@ -253,10 +426,10 @@ impl<N: Network> Sim<N> {
 
     /// Selects how ranks are mapped onto OS threads (default: the
     /// process-global mode from [`crate::set_default_sched_mode`], which
-    /// itself defaults to a single-worker pool where fibers are supported).
-    /// Virtual time is bit-identical across modes and worker counts; only
-    /// real time and thread count differ. On targets without fiber support
-    /// a requested pool silently falls back to [`SchedMode::LegacyThreads`].
+    /// itself defaults to [`SchedMode::Fiber`]). Virtual time is
+    /// bit-identical across modes; only real time and thread count differ.
+    /// On hosts without fiber support a requested fiber run silently falls
+    /// back to [`SchedMode::Threads`] (see [`SchedMode::effective`]).
     pub fn sched_mode(&mut self, mode: SchedMode) -> &mut Self {
         self.sched_mode = Some(mode);
         self
@@ -271,18 +444,18 @@ impl<N: Network> Sim<N> {
     }
 
     /// Registers a swapper for opaque per-rank thread-local state. In
-    /// worker-pool mode several ranks share each worker thread, so an
-    /// embedder keeping rank state in thread-locals (the runtime crate's
-    /// lint sink, for example) registers a function here that exchanges the
-    /// thread-local contents with the rank's saved slot; the scheduler
-    /// calls it immediately before and after every fiber resume. Between
-    /// resumes the worker's own slot is always `None`. Legacy 1:1 runs
+    /// fiber mode every rank runs on the kernel's thread, so an embedder
+    /// keeping rank state in thread-locals (the runtime crate's lint sink,
+    /// for example) registers a function here that exchanges the
+    /// thread-local contents with the rank's saved slot; the kernel calls it
+    /// immediately before and after every fiber resume, so the thread's own
+    /// value is back in place whenever no rank runs. Thread-mode runs
     /// ignore the hook — each rank owns its thread and its thread-locals.
     pub fn set_rank_locals_swapper<F>(&mut self, swap: F) -> &mut Self
     where
         F: Fn(&mut Option<Box<dyn Any + Send>>) + Send + Sync + 'static,
     {
-        self.locals_swapper = Some(Arc::new(swap));
+        self.locals_swapper = Some(Box::new(swap));
         self
     }
 
@@ -322,7 +495,9 @@ impl<N: Network> Sim<N> {
         self
     }
 
-    /// Sets the host stack size for process threads (default 8 MiB).
+    /// Sets the host stack size of each rank's fiber or thread (default
+    /// 8 MiB). A fiber stack sits above a guard page, so overflowing it
+    /// kills the process with `SIGSEGV` rather than corrupting memory.
     pub fn stack_size(&mut self, bytes: usize) -> &mut Self {
         self.stack_size = bytes;
         self
@@ -413,12 +588,8 @@ struct Kernel<N: Network> {
     first_failure: Option<usize>,
     trace: Option<TraceLog>,
     observer: Option<Box<dyn Observer>>,
-    /// The worker pool driving rank fibers ([`SchedMode::WorkerPool`] only;
-    /// `None` in legacy 1:1 mode and after teardown).
-    sched: Option<Scheduler>,
-    /// Pool counters harvested by the normal-exit teardown.
-    sched_report: Option<SchedReport>,
-    /// Peak rank-executing thread count (workers, or ranks in legacy mode).
+    locals_swapper: Option<Box<LocalsSwapFn>>,
+    /// Peak rank-executing thread count (1, or the ranks in thread mode).
     sim_threads: usize,
     /// Grant sequence for [`RunOutcome::dispatch`], recorded at the grant
     /// site (single-threaded, canonical order) when enabled.
@@ -430,122 +601,29 @@ impl<N: Network> Kernel<N> {
         let nprocs = sim.entries.len();
         let mode = sim
             .sched_mode
-            .unwrap_or_else(crate::sched::default_sched_mode);
-        let mode = if crate::fiber::SUPPORTED {
-            mode
-        } else {
-            SchedMode::LegacyThreads
-        };
-        let mut slots = Vec::with_capacity(nprocs);
-        let mut sched = None;
+            .unwrap_or_else(default_sched_mode)
+            .effective();
+        let slots = sim
+            .entries
+            .into_iter()
+            .enumerate()
+            .map(|(rank, entry)| ProcSlot {
+                exec: match mode {
+                    SchedMode::Fiber => Exec::fiber(rank, nprocs, sim.stack_size, entry),
+                    SchedMode::Threads => Exec::thread(rank, nprocs, sim.stack_size, entry),
+                },
+                mailbox: Mailbox::default(),
+                state: ProcState::Idle,
+                clock: SimTime::ZERO,
+                block_start: SimTime::ZERO,
+                stats: ProcStats::default(),
+                result: None,
+                failure: None,
+            })
+            .collect();
         let sim_threads = match mode {
-            SchedMode::WorkerPool { workers } => {
-                // N:M mode: each rank is a fiber; a fixed worker pool
-                // resumes whichever rank the kernel grants. The handoff is
-                // primed so the very first grant reports `needs_wake` and
-                // dispatches the fiber for its first run.
-                let mut tasks = Vec::with_capacity(nprocs);
-                for (rank, entry) in sim.entries.into_iter().enumerate() {
-                    let handoff = Arc::new(Handoff::new());
-                    handoff.prime_sched_parked();
-                    let proc_handoff = Arc::clone(&handoff);
-                    let fiber = Fiber::new(
-                        sim.stack_size,
-                        Box::new(move || {
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    let mut ctx = ProcCtx {
-                                        id: ProcId(rank),
-                                        nprocs,
-                                        now: SimTime::ZERO,
-                                        // Defused: the wrapper below hangs up
-                                        // explicitly, with the panic message.
-                                        _hangup: HangupGuard(None),
-                                        handoff: Arc::clone(&proc_handoff),
-                                        fiber: true,
-                                    };
-                                    // Wait for the initial wake before
-                                    // running user code.
-                                    match ctx.handoff.wait_grant_fiber() {
-                                        Grant::Proceed(t) => ctx.now = t,
-                                        Grant::Abort => std::panic::panic_any(AbortToken),
-                                        _ => unreachable!("initial grant must be a proceed"),
-                                    }
-                                    let result = entry(&mut ctx);
-                                    ctx.finish(result);
-                                }));
-                            // Hangup and failure message land in the slot
-                            // under one lock: the kernel can never observe
-                            // the hangup without the diagnostic.
-                            match outcome {
-                                Ok(()) => proc_handoff.hangup_with(None),
-                                Err(payload) => {
-                                    proc_handoff.hangup_with(Some(panic_message(&*payload)));
-                                }
-                            }
-                        }),
-                    );
-                    tasks.push(Task {
-                        fiber,
-                        clone_bytes: 0,
-                        locals: None,
-                    });
-                    slots.push(ProcSlot {
-                        handoff,
-                        join: None,
-                        mailbox: Mailbox::default(),
-                        state: ProcState::Idle,
-                        clock: SimTime::ZERO,
-                        block_start: SimTime::ZERO,
-                        stats: ProcStats::default(),
-                        result: None,
-                        failure: None,
-                    });
-                }
-                sched = Some(Scheduler::new(workers, tasks, sim.locals_swapper.clone()));
-                workers.max(1)
-            }
-            SchedMode::LegacyThreads => {
-                for (rank, entry) in sim.entries.into_iter().enumerate() {
-                    let handoff = Arc::new(Handoff::new());
-                    let proc_handoff = Arc::clone(&handoff);
-                    let join = std::thread::Builder::new()
-                        .name(format!("simproc-{rank}"))
-                        .stack_size(sim.stack_size)
-                        .spawn(move || {
-                            message::reset_clone_bytes();
-                            let mut ctx = ProcCtx {
-                                id: ProcId(rank),
-                                nprocs,
-                                now: SimTime::ZERO,
-                                _hangup: HangupGuard(Some(Arc::clone(&proc_handoff))),
-                                handoff: proc_handoff,
-                                fiber: false,
-                            };
-                            // Wait for the initial wake before running user code.
-                            match ctx.handoff.wait_grant() {
-                                Grant::Proceed(t) => ctx.now = t,
-                                Grant::Abort => std::panic::panic_any(AbortToken),
-                                _ => unreachable!("initial grant must be a proceed"),
-                            }
-                            let result = entry(&mut ctx);
-                            ctx.finish(result);
-                        })
-                        .expect("failed to spawn simulated process thread");
-                    slots.push(ProcSlot {
-                        handoff,
-                        join: Some(join),
-                        mailbox: Mailbox::default(),
-                        state: ProcState::Idle,
-                        clock: SimTime::ZERO,
-                        block_start: SimTime::ZERO,
-                        stats: ProcStats::default(),
-                        result: None,
-                        failure: None,
-                    });
-                }
-                nprocs
-            }
+            SchedMode::Fiber => nprocs.min(1),
+            SchedMode::Threads => nprocs,
         };
         let mut kernel = Kernel {
             net: sim.net,
@@ -564,8 +642,7 @@ impl<N: Network> Kernel<N> {
             first_failure: None,
             trace: sim.tracing.then(TraceLog::default),
             observer: sim.observer,
-            sched,
-            sched_report: None,
+            locals_swapper: sim.locals_swapper,
             sim_threads,
             dispatch_log: sim.record_dispatch.then(Vec::new),
         };
@@ -587,33 +664,50 @@ impl<N: Network> Kernel<N> {
         });
     }
 
-    /// Hands a grant to process `p`; on hangup (the thread panicked while
-    /// parked, which only the teardown path can produce) harvests the
-    /// failure and reports `false`. In worker-pool mode a grant to a rank
-    /// whose fiber is parked on the scheduler also dispatches that fiber.
+    /// Hands a grant to process `p`; on hangup (the rank panicked) harvests
+    /// the failure and reports `false`. In fiber mode the rank runs right
+    /// here, on this thread, until it yields back its next request.
     fn send_grant(&mut self, p: ProcId, grant: Grant) -> bool {
         self.profile.switches += 1;
-        match self.slots[p.0].handoff.grant(grant) {
-            Ok(needs_wake) => {
-                // Logged per grant, here on the single-threaded kernel, in
-                // canonical event order. Whether the grant also needs a
-                // scheduler wake (the fiber already parked) or lands while
-                // the rank is still running is host timing and must not
-                // show in the log.
-                if let Some(log) = self.dispatch_log.as_mut() {
-                    log.push(p.0 as u32);
+        // Logged per grant, here on the kernel, in canonical event order.
+        if let Some(log) = self.dispatch_log.as_mut() {
+            log.push(p.0 as u32);
+        }
+        if self.hand_over(p, grant).is_ok() {
+            return true;
+        }
+        self.harvest_failure(p);
+        false
+    }
+
+    /// Delivers `grant` to rank `p` — the one place a fiber is resumed.
+    fn hand_over(&mut self, p: ProcId, grant: Grant) -> Result<(), Hangup> {
+        match &mut self.slots[p.0].exec {
+            Exec::Fiber {
+                fiber,
+                baton,
+                finished,
+                clone_bytes,
+                locals,
+            } => {
+                if *finished {
+                    return Err(Hangup);
                 }
-                if needs_wake {
-                    if let Some(sched) = &self.sched {
-                        sched.wake(p.0);
-                    }
+                baton.grant.set(Some(grant));
+                // The rank's thread-local state sits on this thread only
+                // while the rank runs; the thread's own is restored after.
+                let outer = message::swap_clone_bytes(*clone_bytes);
+                if let Some(swap) = &self.locals_swapper {
+                    swap(locals);
                 }
-                true
+                *finished = fiber.resume();
+                if let Some(swap) = &self.locals_swapper {
+                    swap(locals);
+                }
+                *clone_bytes = message::swap_clone_bytes(outer);
+                Ok(())
             }
-            Err(_) => {
-                self.harvest_failure(p);
-                false
-            }
+            Exec::Thread { handoff, .. } => handoff.grant(grant),
         }
     }
 
@@ -799,15 +893,9 @@ impl<N: Network> Kernel<N> {
             self.abort_all();
             return Err(SimError::Deadlock { at, procs, cycle });
         }
-        // All processes exited; drain the execution contexts (worker pool
-        // or dedicated threads, depending on the mode).
-        if let Some(sched) = self.sched.take() {
-            self.sched_report = Some(sched.finish());
-        }
+        // All processes exited; join any rank threads still finishing.
         for slot in &mut self.slots {
-            if let Some(join) = slot.join.take() {
-                let _ = join.join();
-            }
+            slot.exec.reap();
         }
         if let Some(obs) = self.observer.as_mut() {
             obs.on_finish(self.now);
@@ -827,13 +915,7 @@ impl<N: Network> Kernel<N> {
         profile.mailbox_scanned = self.mcounters.scanned;
         profile.mailbox_indexed = self.mcounters.indexed_takes;
         for slot in &self.slots {
-            profile.park_wakes += slot.handoff.park_wakes();
-        }
-        if let Some(report) = self.sched_report.take() {
-            // Pool-side condvar wakes join the handoff's futex-level wakes:
-            // both are real thread wakes, and both are host-timing
-            // dependent (excluded from exact comparison).
-            profile.park_wakes += report.park_wakes;
+            profile.park_wakes += slot.exec.park_wakes();
         }
         let dispatch = self.dispatch_log.take();
         Ok(RunOutcome {
@@ -862,10 +944,10 @@ impl<N: Network> Kernel<N> {
     }
 
     /// Services requests from process `p` until it suspends (compute, blocked
-    /// recv), exits, or its thread dies.
+    /// recv), exits, or dies.
     fn service(&mut self, p: ProcId) {
         loop {
-            let req = match self.slots[p.0].handoff.recv_request() {
+            let req = match self.slots[p.0].exec.recv_request() {
                 Ok(req) => req,
                 Err(_) => {
                     self.harvest_failure(p);
@@ -991,15 +1073,14 @@ impl<N: Network> Kernel<N> {
                     slot.state = ProcState::Done;
                     slot.result = Some(result);
                     slot.stats.exit_at = slot.clock;
+                    slot.stats.bytes_cloned = bytes_cloned;
                     self.profile.bytes_cloned += bytes_cloned;
                     let exit_at = slot.stats.exit_at;
                     if let Some(obs) = self.observer.as_mut() {
                         obs.on_exit(p, exit_at);
                     }
                     self.live -= 1;
-                    if let Some(join) = slot.join.take() {
-                        let _ = join.join();
-                    }
+                    slot.exec.reap();
                     return;
                 }
             }
@@ -1052,22 +1133,10 @@ impl<N: Network> Kernel<N> {
     }
 
     /// Records a dead rank's panic as its own result slot and lets the rest
-    /// of the machine keep running. Legacy mode harvests the panic payload
-    /// by joining the rank's dedicated thread; pool mode reads the message
-    /// the fiber wrapper recorded in the handoff slot at hangup (only the
-    /// owning rank fails — its worker thread and every co-scheduled rank
-    /// are untouched).
+    /// of the machine keep running: the panic unwound only the rank's own
+    /// fiber or thread.
     fn harvest_failure(&mut self, p: ProcId) {
-        let message = match self.slots[p.0].join.take() {
-            Some(join) => match join.join() {
-                Err(payload) => panic_message(&*payload),
-                Ok(()) => "<process hung up without panicking>".to_string(),
-            },
-            None => self.slots[p.0]
-                .handoff
-                .take_failure()
-                .unwrap_or_else(|| "<process hung up without panicking>".to_string()),
-        };
+        let message = self.slots[p.0].exec.failure();
         let slot = &mut self.slots[p.0];
         slot.state = ProcState::Done;
         slot.stats.exit_at = slot.clock;
@@ -1093,29 +1162,17 @@ impl<N: Network> Kernel<N> {
         })
     }
 
+    /// Unwinds every live rank through [`AbortToken`]: in fiber mode the
+    /// abort grant resumes the fiber, which unwinds and returns, so no
+    /// suspended stack (or the values on it) outlives the run.
     fn abort_all(&mut self) {
         for rank in 0..self.slots.len() {
             if !matches!(self.slots[rank].state, ProcState::Done) {
-                // Every live rank is parked waiting for a grant (strict
-                // rendezvous — see `run`), so the Abort is always
-                // deliverable; in pool mode a scheduler-parked fiber also
-                // needs its dispatch to observe it.
-                if let Ok(needs_wake) = self.slots[rank].handoff.grant(Grant::Abort) {
-                    if needs_wake {
-                        if let Some(sched) = &self.sched {
-                            sched.wake(rank);
-                        }
-                    }
-                }
+                // Every live rank is waiting for a grant (strict
+                // rendezvous — see `run`), so the Abort is deliverable.
+                let _ = self.hand_over(ProcId(rank), Grant::Abort);
             }
-            if let Some(join) = self.slots[rank].join.take() {
-                let _ = join.join();
-            }
-        }
-        if let Some(sched) = self.sched.take() {
-            // Every fiber observes its Abort (or already finished), unwinds
-            // via AbortToken and completes, so this terminates.
-            let _ = sched.finish();
+            self.slots[rank].exec.reap();
         }
     }
 }

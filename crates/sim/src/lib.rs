@@ -5,9 +5,10 @@
 //! Two-Layer Interconnects"* (Plaat, Bal, Hofman, Kielmann; HPCA 1999). The
 //! paper ran six parallel applications on a real 128-node testbed whose
 //! inter-cluster links were slowed by delay loops; here, the whole machine is
-//! simulated: every simulated processor is a real OS thread executing the
-//! real application algorithm, but all of its communication and computation
-//! *time* is virtual and charged by a pluggable [`Network`] cost model.
+//! simulated: every simulated processor runs the real application algorithm
+//! on its own stack (a fiber resumed by the kernel, or an OS thread), but all
+//! of its communication and computation *time* is virtual and charged by a
+//! pluggable [`Network`] cost model.
 //!
 //! Determinism is a core guarantee: the kernel runs exactly one process at a
 //! time and orders all events by `(virtual time, sequence number)`, so runs
@@ -45,19 +46,19 @@ mod message;
 mod network;
 mod observe;
 mod process;
-mod sched;
 pub mod sync;
 mod time;
 mod trace;
 
 pub use equeue::TieBreak;
 pub use error::{format_filter, PendingMessage, ProcFailure, SimError, WaitState};
-pub use kernel::{HotProfile, KernelStats, ProcStats, RunOutcome, Sim};
+pub use kernel::{
+    set_default_sched_mode, HotProfile, KernelStats, ProcStats, RunOutcome, SchedMode, Sim,
+};
 pub use message::{Filter, Message, Payload, Tag, TagFilter};
 pub use network::{FaultDisposition, FaultEvent, FaultKind, IdealNetwork, Network, Transfer};
 pub use observe::Observer;
 pub use process::ProcCtx;
-pub use sched::{set_default_sched_mode, SchedMode};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceLog};
 

@@ -93,12 +93,12 @@ use std::cell::Cell;
 
 thread_local! {
     /// Payload bytes deep-copied out of messages on this thread, feeding
-    /// [`crate::HotProfile::bytes_cloned`]. In legacy 1:1 mode each
-    /// simulated process is one OS thread, so the counter is reset when a
-    /// process starts and harvested when it exits. In N:M mode several
-    /// ranks share each worker thread, so the scheduler swaps the counter
-    /// in and out around every fiber resume ([`set_clone_bytes`]) to keep
-    /// the per-rank attribution exact.
+    /// [`crate::HotProfile::bytes_cloned`]. In thread mode each simulated
+    /// process is one OS thread, so the counter is reset when a process
+    /// starts and harvested when it exits. In fiber mode every rank runs on
+    /// the kernel's thread, so the kernel swaps each rank's count in and out
+    /// around every resume ([`swap_clone_bytes`]) to keep the per-rank
+    /// attribution exact.
     static CLONE_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -107,10 +107,10 @@ pub(crate) fn reset_clone_bytes() {
     CLONE_BYTES.with(|c| c.set(0));
 }
 
-/// Loads a rank's saved payload-clone byte count onto this worker thread
-/// before resuming its fiber (scheduler use).
-pub(crate) fn set_clone_bytes(v: u64) {
-    CLONE_BYTES.with(|c| c.set(v));
+/// Replaces this thread's payload-clone byte counter, returning the old
+/// value (kernel use, around a fiber resume).
+pub(crate) fn swap_clone_bytes(v: u64) -> u64 {
+    CLONE_BYTES.with(|c| c.replace(v))
 }
 
 /// Reads this thread's payload-clone byte counter (kernel use).

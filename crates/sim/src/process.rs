@@ -1,12 +1,15 @@
 //! The process-side view of the simulation: [`ProcCtx`].
 //!
-//! Each simulated processor runs as a real OS thread. The kernel grants
-//! control to exactly one process at a time; every simulated operation is a
-//! rendezvous with the kernel, which keeps the whole run deterministic
-//! regardless of host scheduling. The rendezvous itself rides on the
-//! one-slot parked handoff in [`crate::handoff`].
+//! The kernel grants control to exactly one process at a time; every
+//! simulated operation is a rendezvous with the kernel, which keeps the
+//! whole run deterministic regardless of host scheduling. In fiber mode the
+//! rendezvous is a pair of plain cells ([`Baton`]) and a fiber yield on the
+//! kernel's own thread; in thread mode it rides on the one-slot parked
+//! handoff in [`crate::handoff`].
 
 use std::any::Any;
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::handoff::Handoff;
@@ -14,7 +17,7 @@ use crate::message::{self, Filter, Message, Payload, Tag};
 use crate::time::{SimDuration, SimTime};
 use crate::ProcId;
 
-/// Requests a process thread sends to the kernel.
+/// Requests a process sends to the kernel.
 pub(crate) enum Request {
     /// Advance this process's clock by the given amount of compute time.
     Compute(SimDuration),
@@ -30,7 +33,7 @@ pub(crate) enum Request {
     /// Poll for a matching message without blocking.
     TryRecv(Filter),
     /// The process finished with this result; `bytes_cloned` carries the
-    /// thread's payload-copy counter for [`crate::HotProfile`].
+    /// rank's payload-copy counter for [`crate::HotProfile`].
     Exit {
         result: Box<dyn Any + Send>,
         bytes_cloned: u64,
@@ -49,35 +52,49 @@ pub(crate) enum Grant {
     Abort,
 }
 
-/// Marker panic payload used to silently unwind a process thread when the
-/// kernel aborts a run. Never observed by user code.
+/// Marker panic payload used to silently unwind a process when the kernel
+/// aborts a run. Never observed by user code.
 pub(crate) struct AbortToken;
 
-/// Hangs up the process side of the handoff when dropped. Lives inside
-/// [`ProcCtx`], so it fires on every way a process thread can end: normal
-/// return (after `Exit` is published), a user panic unwinding the entry
-/// function, or an [`AbortToken`] unwind — waking a kernel that would
+/// Fiber mode's rendezvous slot. The rank and the kernel run on one thread
+/// and strictly take turns, so plain cells are all the synchronization it
+/// needs: the kernel stores the grant and resumes the rank; the rank stores
+/// its next request and yields back.
+#[derive(Default)]
+pub(crate) struct Baton {
+    pub(crate) grant: Cell<Option<Grant>>,
+    pub(crate) request: Cell<Option<Request>>,
+    /// Panic message recorded when the rank body unwound.
+    pub(crate) failure: Cell<Option<String>>,
+}
+
+/// Hangs up the process side of a thread-mode handoff when dropped. Lives
+/// inside [`ProcCtx`], so it fires on every way a process thread can end:
+/// normal return (after `Exit` is published), a user panic unwinding the
+/// entry function, or an [`AbortToken`] unwind — waking a kernel that would
 /// otherwise park forever waiting for the next request.
-///
-/// In N:M mode the guard is defused (`None`): the fiber wrapper hangs up
-/// explicitly via [`Handoff::hangup_with`] *after* its `catch_unwind`, so
-/// the panic message is recorded in the slot atomically with the hangup
-/// (there is no thread join for the kernel to harvest a payload from).
-pub(crate) struct HangupGuard(pub(crate) Option<Arc<Handoff>>);
+pub(crate) struct HangupGuard(pub(crate) Arc<Handoff>);
 
 impl Drop for HangupGuard {
     fn drop(&mut self) {
-        if let Some(h) = &self.0 {
-            h.hangup();
-        }
+        self.0.hangup();
     }
+}
+
+/// How a process reaches the kernel.
+pub(crate) enum Link {
+    /// Fiber mode: the rank runs inline on the kernel's thread.
+    Fiber(Rc<Baton>),
+    /// Thread mode: the rank is its own OS thread.
+    Thread(HangupGuard),
 }
 
 /// Handle through which a simulated process interacts with the virtual world.
 ///
 /// A `ProcCtx` is passed by the kernel to each process entry function. All of
 /// its methods advance or query *virtual* time; none of them touch wall-clock
-/// time.
+/// time. It is neither `Send` nor `Sync`: a rank talks to the kernel only
+/// from its own execution context.
 ///
 /// # Examples
 ///
@@ -98,11 +115,7 @@ pub struct ProcCtx {
     pub(crate) id: ProcId,
     pub(crate) nprocs: usize,
     pub(crate) now: SimTime,
-    pub(crate) handoff: Arc<Handoff>,
-    pub(crate) _hangup: HangupGuard,
-    /// N:M mode: this rank runs as a fiber on the worker pool, so grant
-    /// waits park the fiber on the scheduler instead of the OS thread.
-    pub(crate) fiber: bool,
+    link: Link,
 }
 
 impl std::fmt::Debug for ProcCtx {
@@ -116,6 +129,15 @@ impl std::fmt::Debug for ProcCtx {
 }
 
 impl ProcCtx {
+    pub(crate) fn new(id: ProcId, nprocs: usize, link: Link) -> Self {
+        ProcCtx {
+            id,
+            nprocs,
+            now: SimTime::ZERO,
+            link,
+        }
+    }
+
     /// This process's rank, in `0..nprocs`.
     pub fn rank(&self) -> usize {
         self.id.0
@@ -136,16 +158,39 @@ impl ProcCtx {
         self.now
     }
 
-    fn rendezvous(&mut self, req: Request) -> Grant {
-        self.handoff.send_request(req);
-        let grant = if self.fiber {
-            self.handoff.wait_grant_fiber()
-        } else {
-            self.handoff.wait_grant()
+    /// Publishes a request without waiting for its grant.
+    fn post(&self, req: Request) {
+        match &self.link {
+            Link::Fiber(baton) => baton.request.set(Some(req)),
+            Link::Thread(guard) => guard.0.send_request(req),
+        }
+    }
+
+    /// Takes the grant the kernel published; unwinds on an abort.
+    fn take_grant(&self) -> Grant {
+        let grant = match &self.link {
+            Link::Fiber(baton) => baton.grant.take().expect("rank resumed without a grant"),
+            Link::Thread(guard) => guard.0.wait_grant(),
         };
-        match grant {
-            Grant::Abort => std::panic::panic_any(AbortToken),
-            grant => grant,
+        if matches!(grant, Grant::Abort) {
+            std::panic::panic_any(AbortToken);
+        }
+        grant
+    }
+
+    fn rendezvous(&mut self, req: Request) -> Grant {
+        self.post(req);
+        if let Link::Fiber(_) = self.link {
+            crate::fiber::yield_now();
+        }
+        self.take_grant()
+    }
+
+    /// Waits for the kernel's initial wake before user code runs.
+    pub(crate) fn start(&mut self) {
+        match self.take_grant() {
+            Grant::Proceed(t) => self.now = t,
+            _ => unreachable!("initial grant must be a proceed"),
         }
     }
 
@@ -236,11 +281,12 @@ impl ProcCtx {
     }
 
     pub(crate) fn finish(self, result: Box<dyn Any + Send>) {
-        self.handoff.send_request(Request::Exit {
+        self.post(Request::Exit {
             result,
             bytes_cloned: message::clone_bytes(),
         });
-        // `self` drops here; the HangupGuard marks the slot dead so the
-        // kernel's join sees a finished thread, not a silent stall.
+        // `self` drops here. A fiber then returns, which is its hangup; a
+        // thread's HangupGuard marks the slot dead so the kernel's join sees
+        // a finished thread, not a silent stall.
     }
 }

@@ -93,9 +93,9 @@ fn render() -> String {
         ));
     }
     machines.push(("wan-hostile", Machine::new(hostile_spec())));
-    // The N:M scheduler's scale regime: a 16x16 (256-rank) machine, an
-    // order of magnitude past the paper presets, pinned exact under the
-    // worker-pool default. FFT is excluded — its Small matrix has 64 rows,
+    // The scheduler's scale regime: a 16x16 (256-rank) machine, an order
+    // of magnitude past the paper presets, pinned exact under the default
+    // fiber mode. FFT is excluded — its Small matrix has 64 rows,
     // fewer than one per rank.
     machines.push(("wan-16x16", Machine::new(das_spec(16, 16, 10.0, 1.0))));
     for (preset, machine) in machines {
