@@ -200,7 +200,7 @@ fn is_barrier_tag(tag: Tag) -> bool {
 /// The caller-side handle of the sanitizer.
 ///
 /// Create one per run, install [`Analysis::observer`] into the simulation
-/// (directly via `Sim::set_observer` or through
+/// (directly via `Sim::add_observer` or through
 /// `numagap_rt::Machine::run_observed`), and read [`Analysis::diagnostics`]
 /// afterwards — the handle keeps working whether the run succeeded or died.
 ///
@@ -212,7 +212,7 @@ fn is_barrier_tag(tag: Tag) -> bool {
 ///
 /// let analysis = Analysis::new(2);
 /// let mut sim = Sim::new(IdealNetwork::instantaneous(2));
-/// sim.set_observer(analysis.observer());
+/// sim.add_observer(analysis.observer());
 /// sim.spawn(|ctx| ctx.send(ProcId(1), Tag::app(0), 1u8, 1));
 /// sim.spawn(|ctx| {
 ///     let _ = ctx.recv(Filter::tag(Tag::app(0)));
@@ -251,7 +251,7 @@ impl Analysis {
     }
 
     /// An [`Observer`] feeding this handle. Install it with
-    /// `Sim::set_observer`. Creating several observers from one handle is
+    /// `Sim::add_observer`. Creating several observers from one handle is
     /// allowed but they must not be used in concurrent runs.
     pub fn observer(&self) -> Box<dyn Observer> {
         Box::new(Sanitizer {
@@ -581,7 +581,7 @@ mod tests {
     {
         let analysis = Analysis::new(nprocs);
         let mut sim = Sim::new(IdealNetwork::new(nprocs, SimDuration::from_micros(10)));
-        sim.set_observer(analysis.observer());
+        sim.add_observer(analysis.observer());
         setup(&mut sim);
         let _ = sim.run();
         analysis
@@ -743,7 +743,7 @@ mod tests {
         };
         let analysis = Analysis::with_config(2, cfg);
         let mut sim = Sim::new(IdealNetwork::instantaneous(2));
-        sim.set_observer(analysis.observer());
+        sim.add_observer(analysis.observer());
         // Five distinct lost messages on distinct tags.
         sim.spawn(|ctx| {
             for t in 0..5u32 {

@@ -21,15 +21,13 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use numagap_rt::{ClusterCombiner, Combiner, Ctx};
 use numagap_sim::{Filter, Tag};
 
 use crate::common::{mix64, RankOutput, Variant};
 
 /// Awari problem configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AwariConfig {
     /// Number of non-terminal levels (stages to compute).
     pub levels: usize,
@@ -142,7 +140,7 @@ pub fn serial_awari(cfg: &AwariConfig) -> f64 {
 }
 
 /// A move announcement: "state `u_id` has a move to your state `v_idx`".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeItem {
     /// The predecessor (the announcing owner's state).
     pub u_id: u64,
@@ -151,7 +149,7 @@ pub struct EdgeItem {
 }
 
 /// A value reply: "your state `u_id`'s successor has value `v_value`".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ValueItem {
     /// The predecessor whose counter this reply decrements.
     pub u_id: u64,

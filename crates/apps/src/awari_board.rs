@@ -24,8 +24,6 @@
 //! cycles, which the solver handles with the textbook retrograde queue and
 //! a draw default at the fixpoint.
 
-use serde::{Deserialize, Serialize};
-
 /// Pits per player.
 pub const PITS_PER_SIDE: usize = 6;
 /// Total pits on the board.
@@ -37,7 +35,7 @@ pub const TOTAL_PITS: usize = 2 * PITS_PER_SIDE;
 pub type Board = [u8; TOTAL_PITS];
 
 /// Game-theoretic value for the player to move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Wld {
     /// The mover can force the last capture.
     Win,

@@ -16,7 +16,6 @@
 //!   into per-superstep sequence tags.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use numagap_rt::{Barrier, Ctx};
 use numagap_sim::{Filter, Tag};
@@ -24,7 +23,7 @@ use numagap_sim::{Filter, Tag};
 use crate::common::{block_range, seeded_rng, RankOutput, Variant};
 
 /// A simulated body.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Body {
     /// Position.
     pub pos: [f64; 3],
@@ -36,7 +35,7 @@ pub struct Body {
 
 /// A point mass as shipped between processors: either a real body or the
 /// center of mass of a pruned subtree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PseudoBody {
     /// Position (body position or subtree center of mass).
     pub pos: [f64; 3],
@@ -49,7 +48,7 @@ const PSEUDO_BODY_BYTES: u64 = 32;
 const SOFTENING_SQ: f64 = 0.0025;
 
 /// Barnes-Hut problem configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BarnesConfig {
     /// Number of bodies.
     pub n: usize,
@@ -151,7 +150,7 @@ pub fn morton_key(pos: &[f64; 3], origin: &[f64; 3], side: f64) -> u64 {
 }
 
 /// An axis-aligned bounding box.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bbox {
     /// Minimum corner.
     pub min: [f64; 3],

@@ -4,7 +4,6 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Which version of an application to run.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// `Optimized` restructures the communication pattern to fit the two-layer
 /// machine (the paper's Section 3.2 changes). FFT has no optimized variant —
 /// the paper found none — so for FFT the two variants behave identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// Uniform-network program: communication ignores the cluster structure.
     Unoptimized,
@@ -30,7 +29,7 @@ impl fmt::Display for Variant {
 }
 
 /// What every application returns from each rank.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankOutput {
     /// Application-defined partial checksum; summing over ranks gives the
     /// run checksum, which must match the serial reference.

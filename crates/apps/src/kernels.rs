@@ -10,7 +10,6 @@
 //! isolates exactly what MagPIe buys a whole program.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use numagap_collectives::{Algo, Coll};
 use numagap_rt::Ctx;
@@ -18,7 +17,7 @@ use numagap_rt::Ctx;
 use crate::common::{block_range, seeded_rng, RankOutput};
 
 /// Power-iteration kernel configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerConfig {
     /// Matrix dimension.
     pub n: usize,

@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use numagap_net::NetStats;
 use numagap_rt::{Machine, RunReport, TransportStats};
 use numagap_sim::{KernelStats, Observer, SimDuration, SimError};
@@ -18,7 +16,7 @@ use crate::tsp::{serial_tsp, tsp_rank, TspConfig};
 use crate::water::{serial_water, water_rank, WaterConfig};
 
 /// The six applications of the paper's suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppId {
     /// n-squared molecular dynamics.
     Water,
@@ -91,7 +89,7 @@ impl fmt::Display for AppId {
 }
 
 /// Problem-size scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Seconds-fast sizes for unit/integration tests.
     Small,
@@ -102,7 +100,7 @@ pub enum Scale {
 }
 
 /// Per-app configurations at a given scale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuiteConfig {
     /// Water configuration.
     pub water: WaterConfig,
@@ -185,22 +183,26 @@ pub struct AppRun {
     pub seed: Option<u64>,
 }
 
-fn summarize(app: AppId, variant: Variant, report: RunReport<RankOutput>) -> AppRun {
-    let k = &report.kernel_stats;
-    AppRun {
-        app,
-        variant,
-        elapsed: report.elapsed,
-        checksum: total_checksum(&report.results),
-        work: total_work(&report.results),
-        inter_mbs_per_cluster: report.inter_mbytes_per_sec_per_cluster(),
-        inter_msgs_per_cluster: report.inter_msgs_per_sec_per_cluster(),
-        total_mbs: report.total_mbytes_per_sec(),
-        faults_injected: k.faults_dropped + k.faults_duplicated + k.faults_delayed,
-        kernel: report.kernel_stats,
-        transport: report.transport_totals(),
-        seed: report.effective_seed(),
-        net: report.net_stats,
+impl AppRun {
+    /// Summarizes the machine report of one `app`/`variant` run (as
+    /// returned by [`run_app_report`]).
+    pub fn from_report(app: AppId, variant: Variant, report: RunReport<RankOutput>) -> AppRun {
+        let k = &report.kernel_stats;
+        AppRun {
+            app,
+            variant,
+            elapsed: report.elapsed,
+            checksum: total_checksum(&report.results),
+            work: total_work(&report.results),
+            inter_mbs_per_cluster: report.inter_mbytes_per_sec_per_cluster(),
+            inter_msgs_per_cluster: report.inter_msgs_per_sec_per_cluster(),
+            total_mbs: report.total_mbytes_per_sec(),
+            faults_injected: k.faults_dropped + k.faults_duplicated + k.faults_delayed,
+            kernel: report.kernel_stats,
+            transport: report.transport_totals(),
+            seed: report.effective_seed(),
+            net: report.net_stats,
+        }
     }
 }
 
@@ -250,7 +252,7 @@ pub fn run_app(
     machine: &Machine,
 ) -> Result<AppRun, SimError> {
     let report = run_app_report(app, cfg, variant, machine, None)?;
-    Ok(summarize(app, variant, report))
+    Ok(AppRun::from_report(app, variant, report))
 }
 
 /// Like [`run_app`], but with a kernel [`Observer`] attached for the whole
@@ -267,7 +269,7 @@ pub fn run_app_observed(
     observer: Box<dyn Observer>,
 ) -> Result<AppRun, SimError> {
     let report = run_app_report(app, cfg, variant, machine, Some(observer))?;
-    Ok(summarize(app, variant, report))
+    Ok(AppRun::from_report(app, variant, report))
 }
 
 /// The serial-reference checksum for an application (exact expectation for

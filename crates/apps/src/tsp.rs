@@ -13,7 +13,6 @@
 //!   number of clusters, not processors.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use numagap_rt::tags::coll_tag;
 use numagap_rt::{reduce_flat, Ctx};
@@ -22,7 +21,7 @@ use numagap_sim::{Filter, Message, Tag};
 use crate::common::{seeded_rng, RankOutput, Variant};
 
 /// TSP problem configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TspConfig {
     /// Number of cities.
     pub n_cities: usize,
@@ -96,7 +95,7 @@ impl TspConfig {
 }
 
 /// A unit of work: a partial tour starting at city 0.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Job {
     /// Visited cities, in order (always starts with 0).
     pub path: Vec<u8>,

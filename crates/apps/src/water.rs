@@ -16,7 +16,6 @@
 //!   at the local coordinator and cross the WAN as a single message.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use numagap_rt::Ctx;
 use numagap_sim::{Filter, Tag};
@@ -24,7 +23,7 @@ use numagap_sim::{Filter, Tag};
 use crate::common::{block_range, seeded_rng, RankOutput, Variant};
 
 /// A molecule's state (a point mass with simplified Lennard-Jones forces).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Molecule {
     /// Position.
     pub pos: [f64; 3],
@@ -33,7 +32,7 @@ pub struct Molecule {
 }
 
 /// Water problem configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WaterConfig {
     /// Number of molecules.
     pub n: usize,

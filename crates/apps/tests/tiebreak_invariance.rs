@@ -10,6 +10,10 @@
 //! two adversarial policies and demands bit-identical outcomes, which is
 //! the same contract `numagap check --perturb` enforces from the CLI.
 //!
+//! ASP/optimized also runs under both policies on the one-OS-thread-per-rank
+//! scheduler ([`SchedMode::Threads`]), the differential oracle for the
+//! default fiber scheduler: its outcome must match the fiber baseline too.
+//!
 //! If a cell moves here, the app (not the kernel) has a hidden order
 //! dependence — typically a wildcard receive folded non-commutatively or
 //! two same-instant transfers racing for one NIC.
@@ -17,7 +21,7 @@
 use numagap_apps::{run_app, AppId, Scale, SuiteConfig, Variant};
 use numagap_net::das_spec;
 use numagap_rt::Machine;
-use numagap_sim::TieBreak;
+use numagap_sim::{SchedMode, TieBreak};
 
 const CLUSTERS: usize = 4;
 const PROCS_PER_CLUSTER: usize = 8;
@@ -47,19 +51,27 @@ fn suite_is_bit_identical_under_adversarial_tie_breaks() {
             run_app(app, &cfg, variant, &machine)
                 .unwrap_or_else(|e| panic!("{app}/{variant} baseline: {e}"))
         };
+        let modes: &[SchedMode] = if (app, variant) == (AppId::Asp, Variant::Optimized) {
+            &[SchedMode::Fiber, SchedMode::Threads]
+        } else {
+            &[SchedMode::Fiber]
+        };
         for tb in adversaries {
-            let machine =
-                Machine::new(das_spec(CLUSTERS, PROCS_PER_CLUSTER, 0.5, 6.3)).with_tie_break(tb);
-            let run = run_app(app, &cfg, variant, &machine)
-                .unwrap_or_else(|e| panic!("{app}/{variant} under {tb}: {e}"));
-            if run.elapsed != baseline.elapsed || run.checksum != baseline.checksum {
-                moved.push(format!(
-                    "{app}/{variant} under {tb}: elapsed {} -> {}, checksum {} -> {}",
-                    baseline.elapsed.as_nanos(),
-                    run.elapsed.as_nanos(),
-                    baseline.checksum,
-                    run.checksum
-                ));
+            for &mode in modes {
+                let machine = Machine::new(das_spec(CLUSTERS, PROCS_PER_CLUSTER, 0.5, 6.3))
+                    .with_tie_break(tb)
+                    .with_sched_mode(mode);
+                let run = run_app(app, &cfg, variant, &machine)
+                    .unwrap_or_else(|e| panic!("{app}/{variant} under {tb} ({mode:?}): {e}"));
+                if run.elapsed != baseline.elapsed || run.checksum != baseline.checksum {
+                    moved.push(format!(
+                        "{app}/{variant} under {tb} ({mode:?}): elapsed {} -> {}, checksum {} -> {}",
+                        baseline.elapsed.as_nanos(),
+                        run.elapsed.as_nanos(),
+                        baseline.checksum,
+                        run.checksum
+                    ));
+                }
             }
         }
     }

@@ -125,7 +125,7 @@ pub const RULES: &[Rule] = &[
                     code creates OS threads the kernel cannot see: they break the \
                     at-most-one-runnable-rank invariant and the one-thread fiber mode, and \
                     make peak thread counts scale with rank count again. Ranks must go \
-                    through Sim::spawn; the kernel, which owns the --sim-mode threads \
+                    through Sim::spawn; the kernel, which owns the SchedMode::Threads \
                     oracle's per-rank threads, is the only sanctioned owner of raw threads \
                     (waived).",
         sim_state_only: true,

@@ -1,9 +1,8 @@
 //! A minimal JSON value, writer and parser for the benchmark pipeline.
 //!
-//! The workspace's `serde` dependency is an offline no-op shim (see
-//! `shims/serde`), so `BENCH_*.json` summaries are written and read through
-//! this hand-rolled module instead — the same approach the tracing layer
-//! takes for Chrome trace JSON. The subset implemented is full JSON minus
+//! The workspace has no serialization dependency, so `BENCH_*.json`
+//! summaries are written and read through this hand-rolled module — the
+//! same approach the tracing layer takes for Chrome trace JSON. The subset implemented is full JSON minus
 //! non-finite numbers (which never occur in bench records).
 //!
 //! Since `numagap serve` feeds this parser raw network bytes, it is

@@ -31,8 +31,8 @@ use std::fmt;
 
 use numagap_analysis::{check_rank_lints, Analysis, Diagnostic, DiagnosticKind};
 use numagap_apps::{
-    checksum_tolerance, run_app, run_app_report, serial_checksum, AppId, Scale, SuiteConfig,
-    Variant,
+    checksum_tolerance, run_app, run_app_report, serial_checksum, AppId, AppRun, Scale,
+    SuiteConfig, Variant,
 };
 use numagap_bench::engine;
 use numagap_bench::record::{compare, BenchSummary, CompareOpts};
@@ -43,7 +43,7 @@ use numagap_net::{
     TwoLayerSpec, WanTopology,
 };
 use numagap_rt::{Machine, TransportConfig};
-use numagap_sim::{SchedMode, SimDuration, SimTime, TieBreak};
+use numagap_sim::{SimDuration, SimTime, TieBreak};
 
 /// Exit code: the command ran to completion but found failures — sanitizer
 /// diagnostics, checksum mismatches, or failing soak cells.
@@ -178,10 +178,6 @@ pub struct MachineArgs {
     /// Wide-area wiring between cluster gateways (`--topology`); the
     /// default full mesh reproduces the paper's machine bit-for-bit.
     pub wan_topology: WanTopology,
-    /// Rank scheduler selection (`--sim-mode`): `fiber` runs every rank
-    /// inline on the kernel's thread, `threads` keeps one OS thread per
-    /// rank. `None` uses the simulator's default (fibers).
-    pub sched_mode: Option<SchedMode>,
 }
 
 impl Default for MachineArgs {
@@ -205,7 +201,6 @@ impl Default for MachineArgs {
             reorder: 0.0,
             outages: Vec::new(),
             wan_topology: WanTopology::FullMesh,
-            sched_mode: None,
         }
     }
 }
@@ -311,10 +306,7 @@ impl MachineArgs {
     pub fn machine(&self) -> Machine {
         let spec = self.spec();
         let faulty = spec.fault_plan.as_ref().is_some_and(|p| p.any_faults());
-        let mut machine = Machine::new(spec.clone());
-        if let Some(mode) = self.sched_mode {
-            machine = machine.with_sched_mode(mode);
-        }
+        let machine = Machine::new(spec.clone());
         if faulty {
             machine
                 .with_reliable_transport(TransportConfig::for_spec(&spec))
@@ -430,8 +422,6 @@ pub struct BenchArgs {
     /// `None` (the default) keeps every target bit-identical to the
     /// committed baselines.
     pub topology: Option<WanTopology>,
-    /// Rank scheduler selection (`--sim-mode`) applied to every cell.
-    pub sim_mode: Option<SchedMode>,
 }
 
 /// Flags of the `selfperf` command.
@@ -444,8 +434,6 @@ pub struct SelfperfArgs {
     pub quick: bool,
     /// Output directory (`REPRO_OUT` / `bench_results` when unset).
     pub out: Option<String>,
-    /// Rank scheduler selection (`--sim-mode`) applied to every cell.
-    pub sim_mode: Option<SchedMode>,
 }
 
 /// Flags of the `hostile` command.
@@ -464,8 +452,6 @@ pub struct HostileArgs {
     /// Wide-area wiring override (`--topology`) applied to every scenario
     /// machine; `None` keeps the full mesh the baseline was recorded on.
     pub topology: Option<WanTopology>,
-    /// Rank scheduler selection (`--sim-mode`) applied to every cell.
-    pub sim_mode: Option<SchedMode>,
 }
 
 /// Flags of the `serve` command.
@@ -480,8 +466,6 @@ pub struct ServeCmdArgs {
     pub cache_capacity: usize,
     /// Per-request wall-clock budget, milliseconds.
     pub deadline_ms: u64,
-    /// Rank scheduler selection (`--sim-mode`) for replayed recordings.
-    pub sim_mode: Option<SchedMode>,
 }
 
 /// Flags of the `predict` command.
@@ -511,8 +495,6 @@ pub struct PredictArgs {
     /// Wide-area wiring override (`--topology`) for both the recording
     /// machine and every replayed grid point; `None` keeps the full mesh.
     pub topology: Option<WanTopology>,
-    /// Rank scheduler selection (`--sim-mode`) applied to every cell.
-    pub sim_mode: Option<SchedMode>,
 }
 
 /// A parse failure with a user-facing message.
@@ -575,18 +557,6 @@ fn parse_prob(flag: &str, v: &str) -> Result<f64, ParseError> {
         return Err(ParseError(format!("{flag} must be in [0, 1], got {p}")));
     }
     Ok(p)
-}
-
-/// Parses `--sim-mode`: `fiber`, or `threads` for the
-/// one-OS-thread-per-rank oracle mode.
-fn parse_sim_mode(v: &str) -> Result<SchedMode, ParseError> {
-    match v.to_ascii_lowercase().as_str() {
-        "fiber" => Ok(SchedMode::Fiber),
-        "threads" => Ok(SchedMode::Threads),
-        _ => Err(ParseError(format!(
-            "--sim-mode must be 'fiber' or 'threads', got '{v}'"
-        ))),
-    }
 }
 
 /// Parses `cluster:from_ms:until_ms` for `--outage`.
@@ -695,7 +665,6 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
                 machine.wan_topology = t;
                 wan_topology = Some(t);
             }
-            "--sim-mode" => machine.sched_mode = Some(parse_sim_mode(take_value(flag, &mut it)?)?),
             "--verify" => verify = true,
             "--stones" => stones = parse_num(flag, take_value(flag, &mut it)?)?,
             "--trace" => trace = Some(take_value(flag, &mut it)?.to_string()),
@@ -952,20 +921,13 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
             threshold,
             virtual_only,
             topology: wan_topology,
-            sim_mode: machine.sched_mode,
         })),
-        "selfperf" => Ok(Command::Selfperf(SelfperfArgs {
-            jobs,
-            quick,
-            out,
-            sim_mode: machine.sched_mode,
-        })),
+        "selfperf" => Ok(Command::Selfperf(SelfperfArgs { jobs, quick, out })),
         "serve" => Ok(Command::Serve(ServeCmdArgs {
             port,
             workers: workers.or(jobs),
             cache_capacity,
             deadline_ms,
-            sim_mode: machine.sched_mode,
         })),
         "hostile" => Ok(Command::Hostile(HostileArgs {
             jobs,
@@ -973,7 +935,6 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
             quick,
             out,
             topology: wan_topology,
-            sim_mode: machine.sched_mode,
         })),
         "predict" => Ok(Command::Predict(PredictArgs {
             apps,
@@ -987,7 +948,6 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
             validate,
             max_error,
             topology: wan_topology,
-            sim_mode: machine.sched_mode,
         })),
         "info" => Ok(Command::Info(machine)),
         "awari-db" => Ok(Command::AwariDb { stones, machine }),
@@ -1040,11 +1000,6 @@ MACHINE OPTIONS:
                              must fit the cluster count (exit 2 if not);
                              bench/hostile/predict validate against their
                              fixed 4-cluster machine.
-  --sim-mode <fiber|threads> rank scheduler (any command): 'fiber' runs
-                             every rank inline on the simulator's own
-                             thread; 'threads' gives each rank an OS
-                             thread (the differential oracle). Virtual time
-                             is bit-identical in both    [default: fiber]
 
 HOSTILE-NETWORK OPTIONS (any command; soak sweeps comma lists of the
 first three as matrix dimensions):
@@ -1211,33 +1166,8 @@ EXIT CODES:
   2  usage or internal error
 ";
 
-impl Command {
-    /// The `--sim-mode` scheduler selection this command carries, if
-    /// any; `execute` installs it as the process-wide default so every
-    /// machine the command builds (including those assembled deep inside
-    /// bench targets and the serve cache) runs under it.
-    pub fn sched_mode(&self) -> Option<SchedMode> {
-        match self {
-            Command::Run(a) => a.machine.sched_mode,
-            Command::Suite(m) | Command::Info(m) => m.sched_mode,
-            Command::Check(a) => a.machine.sched_mode,
-            Command::Soak(a) => a.machine.sched_mode,
-            Command::Bench(a) => a.sim_mode,
-            Command::Predict(a) => a.sim_mode,
-            Command::Selfperf(a) => a.sim_mode,
-            Command::Hostile(a) => a.sim_mode,
-            Command::Serve(a) => a.sim_mode,
-            Command::AwariDb { machine, .. } => machine.sched_mode,
-            Command::Audit(_) | Command::Help => None,
-        }
-    }
-}
-
 /// Executes a parsed command; returns the process exit code.
 pub fn execute(cmd: Command) -> i32 {
-    if let Some(mode) = cmd.sched_mode() {
-        numagap_sim::set_default_sched_mode(mode);
-    }
     match cmd {
         Command::Help => {
             println!("{USAGE}");
@@ -1474,13 +1404,15 @@ pub fn execute(cmd: Command) -> i32 {
             if args.trace.is_some() {
                 machine = machine.with_tracing();
             }
-            let run = match run_app(args.app, &cfg, args.variant, &machine) {
-                Ok(run) => run,
+            let mut report = match run_app_report(args.app, &cfg, args.variant, &machine, None) {
+                Ok(report) => report,
                 Err(e) => {
                     eprintln!("simulation failed: {e}");
                     return EXIT_ERROR;
                 }
             };
+            let trace = report.trace.take();
+            let run = AppRun::from_report(args.app, args.variant, report);
             println!("app:        {} ({})", run.app, run.variant);
             println!("machine:    {}", machine.spec().topology.label());
             if let Some(seed) = run.seed {
@@ -1529,23 +1461,12 @@ pub fn execute(cmd: Command) -> i32 {
                     code = EXIT_FINDINGS;
                 }
             }
-            // A trace needs a dedicated traced run through Machine::run —
-            // run_app does not thread traces — so rerun the app under
-            // tracing when requested.
-            if let Some(path) = args.trace {
-                match trace_run(args.app, &cfg, args.variant, &machine) {
-                    Ok(json) => {
-                        if let Err(e) = std::fs::write(&path, json) {
-                            eprintln!("failed to write trace {path}: {e}");
-                            code = EXIT_ERROR;
-                        } else {
-                            println!("trace:      {path}");
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("trace run failed: {e}");
-                        code = EXIT_ERROR;
-                    }
+            if let (Some(path), Some(trace)) = (args.trace, trace) {
+                if let Err(e) = std::fs::write(&path, trace.to_chrome_json()) {
+                    eprintln!("failed to write trace {path}: {e}");
+                    code = EXIT_ERROR;
+                } else {
+                    println!("trace:      {path}");
                 }
             }
             code
@@ -2259,17 +2180,6 @@ pub fn waived(app: AppId, variant: Variant, kind: DiagnosticKind) -> Option<&'st
     }
 }
 
-fn trace_run(
-    app: AppId,
-    cfg: &SuiteConfig,
-    variant: Variant,
-    machine: &Machine,
-) -> Result<String, numagap_sim::SimError> {
-    let machine = machine.clone().with_tracing();
-    let report = run_app_report(app, cfg, variant, &machine, None)?;
-    Ok(report.trace.expect("tracing was enabled").to_chrome_json())
-}
-
 /// Formats an optional tolerable-gap threshold for the summary table.
 fn show_gap(v: Option<f64>) -> String {
     v.map_or_else(|| "none".to_string(), |x| format!("{x}"))
@@ -2458,40 +2368,6 @@ mod tests {
         match parse(&["check"]).unwrap() {
             Command::Check(args) => assert!(!args.perturb),
             other => panic!("expected check, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parses_sim_mode() {
-        match parse(&["run", "--app", "fft", "--sim-mode", "threads"]).unwrap() {
-            Command::Run(args) => assert_eq!(args.machine.sched_mode, Some(SchedMode::Threads)),
-            other => panic!("expected run, got {other:?}"),
-        }
-        match parse(&["check", "--sim-mode", "fiber"]).unwrap() {
-            Command::Check(args) => {
-                assert_eq!(args.machine.sched_mode, Some(SchedMode::Fiber));
-            }
-            other => panic!("expected check, got {other:?}"),
-        }
-        match parse(&["bench", "--target", "scale", "--sim-mode", "threads"]).unwrap() {
-            Command::Bench(args) => {
-                assert_eq!(args.target, "scale");
-                assert_eq!(args.sim_mode, Some(SchedMode::Threads));
-                assert_eq!(Command::Bench(args).sched_mode(), Some(SchedMode::Threads));
-            }
-            other => panic!("expected bench, got {other:?}"),
-        }
-        assert!(parse(&["run", "--app", "fft", "--sim-mode", "pool"]).is_err());
-        assert!(parse(&["run", "--app", "fft", "--sim-workers", "2"]).is_err());
-        match parse(&["run", "--app", "fft"]).unwrap() {
-            Command::Run(args) => {
-                assert_eq!(
-                    args.machine.sched_mode, None,
-                    "unset flag keeps the default"
-                );
-                assert_eq!(Command::Run(args).sched_mode(), None);
-            }
-            other => panic!("expected run, got {other:?}"),
         }
     }
 

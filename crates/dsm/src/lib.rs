@@ -228,7 +228,7 @@ where
 }
 
 /// A convenience update for counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddU64(pub u64);
 
 impl Update<u64> for AddU64 {
@@ -241,7 +241,7 @@ impl Update<u64> for AddU64 {
 }
 
 /// A convenience update for replicated maps: insert/overwrite a key.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MapPut<K, V> {
     /// Key to write.
     pub key: K,

@@ -12,15 +12,13 @@
 //! Faults apply only to inter-cluster (WAN) messages; the Myrinet layer is
 //! modeled as reliable, matching the DAS hardware the paper measured.
 
-use serde::{Deserialize, Serialize};
-
 use numagap_sim::SimTime;
 
 use crate::model::mix64;
 
 /// A scheduled outage of one ordered WAN link: messages *departing* while
 /// the window is open are dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkOutage {
     /// Source cluster of the affected ordered link.
     pub src_cluster: usize,
@@ -34,7 +32,7 @@ pub struct LinkOutage {
 
 /// A gateway crash-restart window: any WAN message whose route crosses the
 /// cluster's gateway while the window is open is dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GatewayOutage {
     /// The cluster whose gateway is down.
     pub cluster: usize,
@@ -55,7 +53,7 @@ pub struct GatewayOutage {
 /// assert_eq!(plan.draw(0, 1, 7), plan.draw(0, 1, 7));
 /// assert_ne!(plan.draw(0, 1, 7), plan.draw(1, 0, 7));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed from which every per-link decision stream is split.
     pub seed: u64,

@@ -23,8 +23,6 @@
 //! randomness beyond its seed: a hostile run is exactly as reproducible as
 //! a clean one.
 
-use serde::{Deserialize, Serialize};
-
 use numagap_sim::{SimDuration, SimTime};
 
 use crate::model::mix64;
@@ -47,7 +45,7 @@ use crate::model::mix64;
 /// assert_eq!(plan.draw(0, 1, 7), plan.draw(0, 1, 7));
 /// assert_ne!(plan.draw(0, 1, 7), plan.draw(1, 0, 7));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrossTrafficPlan {
     /// Seed from which every per-link stream is split.
     pub seed: u64,
@@ -118,7 +116,7 @@ impl CrossTrafficPlan {
 /// Each shape maps an instant to a degradation level in `[0, 1000]`
 /// permille, where `0` is clean and `1000` applies the schedule's full
 /// latency/bandwidth penalty.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScheduleShape {
     /// A triangle wave: quality degrades to the full penalty and recovers
     /// once per period. Each directed link gets a seed-derived phase
@@ -162,7 +160,7 @@ pub enum ScheduleShape {
 /// assert_eq!(s.factors_permille(0, 1, SimTime::ZERO), (1000, 1000));
 /// assert_eq!(s.factors_permille(0, 1, SimTime::from_nanos(2_000_000)), (3000, 500));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSchedule {
     /// Seed for per-link phase offsets (diurnal shape only).
     pub seed: u64,

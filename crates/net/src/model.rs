@@ -6,8 +6,6 @@
 //! cluster pair (the DAS WAN was fully connected), and the remote gateway —
 //! store-and-forward, exactly the structure whose cost the paper varies.
 
-use serde::{Deserialize, Serialize};
-
 use numagap_sim::{FaultDisposition, Network, ProcId, SimDuration, SimTime, Tag, Transfer};
 
 use crate::fault::FaultPlan;
@@ -27,7 +25,7 @@ use crate::wan::{RouteCursor, WanTopology};
 ///     .inter(LinkParams::wide_area(10.0, 1.0));
 /// assert_eq!(spec.topology.nprocs(), 32);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TwoLayerSpec {
     /// Cluster layout.
     pub topology: Topology,
@@ -69,12 +67,10 @@ pub struct TwoLayerSpec {
     /// (the default) for a dedicated network. When `None` no background
     /// bookings are made, so clean runs are byte-identical to builds
     /// without it.
-    #[serde(default)]
     pub cross_traffic: Option<CrossTrafficPlan>,
     /// Time-varying WAN quality (latency up, bandwidth down) as a pure
     /// function of virtual time, or `None` (the default) for constant link
     /// parameters.
-    #[serde(default)]
     pub link_schedule: Option<LinkSchedule>,
 }
 
@@ -172,7 +168,7 @@ impl TwoLayerSpec {
 }
 
 /// Aggregate traffic statistics of a finished run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NetStats {
     /// Intra-cluster messages.
     pub intra_msgs: u64,
@@ -194,10 +190,8 @@ pub struct NetStats {
     /// active.
     pub wan_busy: Vec<(usize, usize, SimDuration)>,
     /// Background cross-traffic messages injected on WAN links.
-    #[serde(default)]
     pub cross_msgs: u64,
     /// Background cross-traffic bytes injected on WAN links.
-    #[serde(default)]
     pub cross_bytes: u64,
 }
 

@@ -1,7 +1,5 @@
 //! Processor-to-cluster layout of a two-layer machine.
 
-use serde::{Deserialize, Serialize};
-
 use numagap_sim::{ProcId, SimDuration};
 
 /// Which ranks live in which cluster.
@@ -21,7 +19,7 @@ use numagap_sim::{ProcId, SimDuration};
 /// assert!(topo.is_inter(0, 31));
 /// assert!(!topo.is_inter(8, 15));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     cluster_sizes: Vec<usize>,
     cluster_of: Vec<usize>,
@@ -31,7 +29,6 @@ pub struct Topology {
     /// homogeneous default, kept empty so it compares equal to topologies
     /// built before heterogeneity existed and round-trips old serialized
     /// forms.
-    #[serde(default)]
     speeds_permille: Vec<u64>,
 }
 

@@ -1,11 +1,11 @@
 //! The simulated parallel machine: spawn-per-rank execution and reporting.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use numagap_net::{NetStats, TwoLayerNetwork, TwoLayerSpec};
 use numagap_sim::{
-    HotProfile, KernelStats, Observer, ProcStats, SchedMode, Sim, SimDuration, SimError, SimTime,
-    TieBreak, TraceLog,
+    HotProfile, KernelStats, Message, Observer, ProcId, ProcStats, SchedMode, Sim, SimDuration,
+    SimError, SimTime, TieBreak, TraceLog,
 };
 
 use crate::ctx::Ctx;
@@ -32,7 +32,7 @@ pub struct Machine {
     tracing: bool,
     transport: Option<TransportConfig>,
     tie_break: TieBreak,
-    sched_mode: Option<SchedMode>,
+    sched_mode: SchedMode,
     stack_size: Option<usize>,
 }
 
@@ -45,7 +45,7 @@ impl Machine {
             tracing: false,
             transport: None,
             tie_break: TieBreak::Fifo,
-            sched_mode: None,
+            sched_mode: SchedMode::Fiber,
             stack_size: None,
         }
     }
@@ -53,10 +53,9 @@ impl Machine {
     /// Selects how the simulator maps ranks onto OS threads (see
     /// [`SchedMode`]): every rank a fiber resumed inline on the kernel's
     /// thread, or one OS thread per rank. Virtual time is bit-identical
-    /// across modes. Defaults to the simulator's process-global mode (the
-    /// CLI's `--sim-mode` flag).
+    /// across modes. Defaults to [`SchedMode::Fiber`].
     pub fn with_sched_mode(mut self, mode: SchedMode) -> Self {
-        self.sched_mode = Some(mode);
+        self.sched_mode = mode;
         self
     }
 
@@ -94,7 +93,8 @@ impl Machine {
 
     /// Records an execution trace during runs; retrieve it from
     /// [`RunReport::trace`] and render with
-    /// [`TraceLog::to_chrome_json`].
+    /// [`TraceLog::to_chrome_json`]. The trace observer runs next to any
+    /// observer passed to [`Machine::run_observed`].
     pub fn with_tracing(mut self) -> Self {
         self.tracing = true;
         self
@@ -169,10 +169,7 @@ impl Machine {
         }
         let net = TwoLayerNetwork::new(spec.clone());
         let mut sim = Sim::new(net);
-        sim.tie_break(self.tie_break);
-        if let Some(mode) = self.sched_mode {
-            sim.sched_mode(mode);
-        }
+        sim.tie_break(self.tie_break).sched_mode(self.sched_mode);
         if let Some(bytes) = self.stack_size {
             sim.stack_size(bytes);
         }
@@ -184,11 +181,13 @@ impl Machine {
         if let Some(limit) = self.time_limit {
             sim.time_limit(SimTime::ZERO + limit);
         }
-        if self.tracing {
-            sim.enable_tracing();
-        }
+        let trace = self.tracing.then(|| {
+            let log = Arc::new(Mutex::new(TraceLog::default()));
+            sim.add_observer(Box::new(SharedTrace(Arc::clone(&log))));
+            log
+        });
         if let Some(observer) = observer {
-            sim.set_observer(observer);
+            sim.add_observer(observer);
         }
         let topo = Arc::new(self.spec.topology.clone());
         let entry = Arc::new(entry);
@@ -239,12 +238,36 @@ impl Machine {
             kernel_stats: out.kernel_stats,
             profile: out.profile,
             net_stats,
-            trace: out.trace,
+            trace: trace.map(|log| std::mem::take(&mut *log.lock().expect("trace log poisoned"))),
             rank_lints,
             transport_stats,
             spec,
             sim_threads: out.sim_threads,
         })
+    }
+}
+
+/// Feeds the kernel's event stream into a [`TraceLog`] the machine reads
+/// back after the run (the kernel consumes its observers).
+struct SharedTrace(Arc<Mutex<TraceLog>>);
+
+impl SharedTrace {
+    fn log(&self) -> std::sync::MutexGuard<'_, TraceLog> {
+        self.0.lock().expect("trace log poisoned")
+    }
+}
+
+impl Observer for SharedTrace {
+    fn on_compute(&mut self, p: ProcId, start: SimTime, end: SimTime) {
+        self.log().on_compute(p, start, end);
+    }
+
+    fn on_blocked(&mut self, p: ProcId, start: SimTime, end: SimTime) {
+        self.log().on_blocked(p, start, end);
+    }
+
+    fn on_send(&mut self, dst: ProcId, msg: &Message) {
+        self.log().on_send(dst, msg);
     }
 }
 
@@ -375,7 +398,7 @@ const _: () = {
 mod tests {
     use super::*;
     use numagap_net::{das_spec, uniform_spec};
-    use numagap_sim::Tag;
+    use numagap_sim::{Tag, TraceEvent};
 
     #[test]
     fn spmd_results_in_rank_order() {
@@ -443,13 +466,30 @@ mod tests {
                 }
             })
             .unwrap();
-        let trace = report.trace.expect("trace enabled");
+        let trace = report.trace.as_ref().expect("trace enabled");
         assert_eq!(trace.message_count(), 1);
+        assert_eq!(trace.message_count() as u64, report.kernel_stats.messages);
         assert_eq!(
             trace.compute_time_of(0),
             SimDuration::from_millis(2),
             "trace must reconcile with accounting"
         );
+        for (rank, stats) in report.proc_stats.iter().enumerate() {
+            let blocked: SimDuration = trace
+                .events
+                .iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::Blocked {
+                        rank: r,
+                        start,
+                        end,
+                    } if r == rank => Some(end.since(start)),
+                    _ => None,
+                })
+                .sum();
+            assert_eq!(blocked, stats.blocked, "rank {rank} blocked time");
+        }
+        assert!(report.proc_stats[3].blocked > SimDuration::ZERO);
         let json = trace.to_chrome_json();
         assert!(json.contains("\"ph\":\"s\""));
         // Untracked runs carry no trace.

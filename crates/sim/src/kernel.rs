@@ -27,11 +27,8 @@
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-use serde::{Deserialize, Serialize};
 
 use crate::equeue::{EventEntry, EventKind, EventQueue, TieBreak};
 use crate::error::{PendingMessage, ProcFailure, SimError, WaitState};
@@ -43,11 +40,10 @@ use crate::network::{FaultEvent, FaultKind, Network};
 use crate::observe::Observer;
 use crate::process::{AbortToken, Baton, Grant, HangupGuard, Link, ProcCtx, Request};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceLog;
 use crate::ProcId;
 
 /// Per-process accounting collected by the kernel.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ProcStats {
     /// Virtual time spent in `compute`.
     pub compute: SimDuration,
@@ -96,34 +92,12 @@ impl SchedMode {
     }
 }
 
-/// Process-global default [`SchedMode`]: 0 = unset, 1 = fiber, 2 = threads.
-static DEFAULT_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-global default scheduler mode used by every
-/// subsequently started [`Sim`] that does not override it. Last write wins;
-/// typically called once by the CLI from `--sim-mode`.
-pub fn set_default_sched_mode(mode: SchedMode) {
-    let enc = match mode {
-        SchedMode::Fiber => 1,
-        SchedMode::Threads => 2,
-    };
-    DEFAULT_MODE.store(enc, Ordering::Relaxed);
-}
-
-/// The last value passed to [`set_default_sched_mode`], else fibers.
-fn default_sched_mode() -> SchedMode {
-    match DEFAULT_MODE.load(Ordering::Relaxed) {
-        2 => SchedMode::Threads,
-        _ => SchedMode::Fiber,
-    }
-}
-
 /// Whole-run accounting collected by the kernel.
 ///
 /// Deterministic for a given program and spec: the benchmark pipeline
 /// records these per experiment cell and compares them exactly across
 /// runs, so the struct is `Copy + Eq` on purpose.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Total events processed.
     pub events: u64,
@@ -148,7 +122,7 @@ pub struct KernelStats {
 /// thread wakes and legitimately varies with host timing (a handoff that
 /// completes inside the spin window wakes nobody); benchmark comparison
 /// treats it like wall-clock time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotProfile {
     /// Virtual context switches: grants handed to processes.
     pub switches: u64,
@@ -199,8 +173,6 @@ pub struct RunOutcome<N> {
     pub profile: HotProfile,
     /// The network model, returned so callers can read its statistics.
     pub network: N,
-    /// The execution trace, if tracing was enabled.
-    pub trace: Option<TraceLog>,
     /// Peak number of OS threads that executed ranks: 1 under
     /// [`SchedMode::Fiber`] (the kernel's own thread), the rank count under
     /// [`SchedMode::Threads`] (on top of the kernel's thread).
@@ -389,10 +361,9 @@ pub struct Sim<N: Network> {
     entries: Vec<Entry>,
     time_limit: Option<SimTime>,
     stack_size: usize,
-    tracing: bool,
-    observer: Option<Box<dyn Observer>>,
+    observers: Vec<Box<dyn Observer>>,
     tie_break: TieBreak,
-    sched_mode: Option<SchedMode>,
+    sched_mode: SchedMode,
     record_dispatch: bool,
     locals_swapper: Option<Box<LocalsSwapFn>>,
 }
@@ -415,23 +386,21 @@ impl<N: Network> Sim<N> {
             entries: Vec::new(),
             time_limit: None,
             stack_size: 8 << 20,
-            tracing: false,
-            observer: None,
+            observers: Vec::new(),
             tie_break: TieBreak::Fifo,
-            sched_mode: None,
+            sched_mode: SchedMode::Fiber,
             record_dispatch: false,
             locals_swapper: None,
         }
     }
 
-    /// Selects how ranks are mapped onto OS threads (default: the
-    /// process-global mode from [`crate::set_default_sched_mode`], which
-    /// itself defaults to [`SchedMode::Fiber`]). Virtual time is
+    /// Selects how ranks are mapped onto OS threads (default
+    /// [`SchedMode::Fiber`]). Virtual time is
     /// bit-identical across modes; only real time and thread count differ.
     /// On hosts without fiber support a requested fiber run silently falls
     /// back to [`SchedMode::Threads`] (see [`SchedMode::effective`]).
     pub fn sched_mode(&mut self, mode: SchedMode) -> &mut Self {
-        self.sched_mode = Some(mode);
+        self.sched_mode = mode;
         self
     }
 
@@ -472,19 +441,12 @@ impl<N: Network> Sim<N> {
         self
     }
 
-    /// Installs an [`Observer`] that receives every communication event of
-    /// the run (sends, posted and matched receives, exits). At most one
-    /// observer is active; installing a second replaces the first. Runs
-    /// without an observer pay only a per-event `Option` check.
-    pub fn set_observer(&mut self, observer: Box<dyn Observer>) -> &mut Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Records an execution trace ([`TraceLog`]) during the run; retrieve it
-    /// from [`RunOutcome::trace`]. Off by default.
-    pub fn enable_tracing(&mut self) -> &mut Self {
-        self.tracing = true;
+    /// Adds an [`Observer`] that receives every kernel event of the run
+    /// (computes, sends, posted and matched receives, blocked intervals,
+    /// exits). Observers compose: each event goes to every installed
+    /// observer, in installation order.
+    pub fn add_observer(&mut self, observer: Box<dyn Observer>) -> &mut Self {
+        self.observers.push(observer);
         self
     }
 
@@ -586,8 +548,7 @@ struct Kernel<N: Network> {
     mcounters: MailboxCounters,
     /// First rank whose panic was harvested, in detection order.
     first_failure: Option<usize>,
-    trace: Option<TraceLog>,
-    observer: Option<Box<dyn Observer>>,
+    observers: Vec<Box<dyn Observer>>,
     locals_swapper: Option<Box<LocalsSwapFn>>,
     /// Peak rank-executing thread count (1, or the ranks in thread mode).
     sim_threads: usize,
@@ -599,10 +560,7 @@ struct Kernel<N: Network> {
 impl<N: Network> Kernel<N> {
     fn start(sim: Sim<N>) -> Self {
         let nprocs = sim.entries.len();
-        let mode = sim
-            .sched_mode
-            .unwrap_or_else(default_sched_mode)
-            .effective();
+        let mode = sim.sched_mode.effective();
         let slots = sim
             .entries
             .into_iter()
@@ -640,8 +598,7 @@ impl<N: Network> Kernel<N> {
             profile: HotProfile::default(),
             mcounters: MailboxCounters::default(),
             first_failure: None,
-            trace: sim.tracing.then(TraceLog::default),
-            observer: sim.observer,
+            observers: sim.observers,
             locals_swapper: sim.locals_swapper,
             sim_threads,
             dispatch_log: sim.record_dispatch.then(Vec::new),
@@ -740,9 +697,6 @@ impl<N: Network> Kernel<N> {
                 "Network::sender_free must agree with Network::transfer"
             );
             debug_assert!(transfer.arrival >= sent_at);
-            if let Some(trace) = self.trace.as_mut() {
-                trace.message(src, dst, tag, wire_bytes, sent_at, transfer.arrival);
-            }
             let msg_seq = self.msg_seq;
             self.msg_seq += 1;
             let msg = Message {
@@ -754,7 +708,7 @@ impl<N: Network> Kernel<N> {
                 arrived_at: transfer.arrival,
                 payload,
             };
-            if let Some(obs) = self.observer.as_mut() {
+            for obs in &mut self.observers {
                 obs.on_send(dst, &msg);
                 obs.on_sender_free(src, msg_seq, transfer.sender_free);
             }
@@ -768,7 +722,7 @@ impl<N: Network> Kernel<N> {
                         FaultKind::Duplicate => self.kstats.faults_duplicated += 1,
                         FaultKind::Delay => self.kstats.faults_delayed += 1,
                     }
-                    if let Some(obs) = self.observer.as_mut() {
+                    for obs in &mut self.observers {
                         obs.on_fault(&FaultEvent {
                             kind,
                             src,
@@ -854,16 +808,6 @@ impl<N: Network> Kernel<N> {
                 return Err(err);
             }
             let at = self.now;
-            // Close the open blocked intervals so the trace accounts the
-            // full wait that led into the deadlock.
-            for rank in 0..self.slots.len() {
-                if matches!(self.slots[rank].state, ProcState::Blocked(_)) {
-                    let block_start = self.slots[rank].block_start;
-                    if let Some(trace) = self.trace.as_mut() {
-                        trace.blocked(ProcId(rank), block_start, at);
-                    }
-                }
-            }
             let procs: Vec<(usize, WaitState)> = self
                 .slots
                 .iter()
@@ -897,7 +841,7 @@ impl<N: Network> Kernel<N> {
         for slot in &mut self.slots {
             slot.exec.reap();
         }
-        if let Some(obs) = self.observer.as_mut() {
+        for obs in &mut self.observers {
             obs.on_finish(self.now);
         }
         let elapsed = self
@@ -937,7 +881,6 @@ impl<N: Network> Kernel<N> {
             kernel_stats: self.kstats,
             profile,
             network: self.net,
-            trace: self.trace,
             sim_threads: self.sim_threads,
             dispatch,
         })
@@ -963,10 +906,7 @@ impl<N: Network> Kernel<N> {
                     slot.clock += d;
                     slot.state = ProcState::Idle;
                     let wake_at = slot.clock;
-                    if let Some(trace) = self.trace.as_mut() {
-                        trace.compute(p, start, wake_at);
-                    }
-                    if let Some(obs) = self.observer.as_mut() {
+                    for obs in &mut self.observers {
                         obs.on_compute(p, start, wake_at);
                     }
                     self.schedule(wake_at, EventKind::Wake(p));
@@ -979,7 +919,7 @@ impl<N: Network> Kernel<N> {
                     payload,
                 } => {
                     let sent_at = self.slots[p.0].clock;
-                    if let Some(obs) = self.observer.as_mut() {
+                    for obs in &mut self.observers {
                         obs.on_send_posted(p, dst, wire_bytes, sent_at);
                     }
                     let sender_free = self.net.sender_free(wire_bytes, sent_at);
@@ -1015,8 +955,8 @@ impl<N: Network> Kernel<N> {
                     }
                 }
                 Request::Recv(filter) => {
-                    if let Some(obs) = self.observer.as_mut() {
-                        let now = self.slots[p.0].clock;
+                    let now = self.slots[p.0].clock;
+                    for obs in &mut self.observers {
                         obs.on_recv_posted(p, &filter, true, now);
                     }
                     if let Some(msg) = self.slots[p.0].mailbox.take(&filter, &mut self.mcounters) {
@@ -1026,7 +966,7 @@ impl<N: Network> Kernel<N> {
                         slot.stats.recv_overhead += o;
                         slot.stats.msgs_received += 1;
                         let clock = slot.clock;
-                        if let Some(obs) = self.observer.as_mut() {
+                        for obs in &mut self.observers {
                             obs.on_recv_matched(p, &msg, clock);
                         }
                         if !self.send_grant(p, Grant::Msg(clock, msg)) {
@@ -1040,8 +980,8 @@ impl<N: Network> Kernel<N> {
                     }
                 }
                 Request::TryRecv(filter) => {
-                    if let Some(obs) = self.observer.as_mut() {
-                        let now = self.slots[p.0].clock;
+                    let now = self.slots[p.0].clock;
+                    for obs in &mut self.observers {
                         obs.on_recv_posted(p, &filter, false, now);
                     }
                     let found = self.slots[p.0].mailbox.take(&filter, &mut self.mcounters);
@@ -1058,8 +998,10 @@ impl<N: Network> Kernel<N> {
                         }
                         slot.clock
                     };
-                    if let (Some(obs), Some(msg)) = (self.observer.as_mut(), found.as_ref()) {
-                        obs.on_recv_matched(p, msg, clock);
+                    if let Some(msg) = found.as_ref() {
+                        for obs in &mut self.observers {
+                            obs.on_recv_matched(p, msg, clock);
+                        }
                     }
                     if !self.send_grant(p, Grant::TryMsg(clock, found)) {
                         return;
@@ -1076,7 +1018,7 @@ impl<N: Network> Kernel<N> {
                     slot.stats.bytes_cloned = bytes_cloned;
                     self.profile.bytes_cloned += bytes_cloned;
                     let exit_at = slot.stats.exit_at;
-                    if let Some(obs) = self.observer.as_mut() {
+                    for obs in &mut self.observers {
                         obs.on_exit(p, exit_at);
                     }
                     self.live -= 1;
@@ -1108,19 +1050,16 @@ impl<N: Network> Kernel<N> {
                 self.profile.mailbox_fast += 1;
                 let o = self.net_recv_overhead(msg.wire_bytes);
                 let slot = &mut self.slots[p.0];
-                let resumed = slot.clock.max(self.now);
-                slot.stats.blocked += resumed.since(slot.block_start);
                 let block_start = slot.block_start;
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.blocked(p, block_start, resumed);
-                }
-                let slot = &mut self.slots[p.0];
+                let resumed = slot.clock.max(self.now);
+                slot.stats.blocked += resumed.since(block_start);
                 slot.clock = resumed + o;
                 slot.stats.recv_overhead += o;
                 slot.stats.msgs_received += 1;
                 slot.state = ProcState::Idle;
                 let clock = slot.clock;
-                if let Some(obs) = self.observer.as_mut() {
+                for obs in &mut self.observers {
+                    obs.on_blocked(p, block_start, resumed);
                     obs.on_recv_matched(p, &msg, clock);
                 }
                 if self.send_grant(p, Grant::Msg(clock, msg)) {
@@ -1456,6 +1395,13 @@ mod tests {
                 let kind = if blocking { "recv" } else { "try" };
                 self.events.lock().unwrap().push(format!("{kind}@{}", p.0));
             }
+            fn on_blocked(&mut self, p: ProcId, start: SimTime, end: SimTime) {
+                let span = (start.as_nanos(), end.as_nanos());
+                self.events
+                    .lock()
+                    .unwrap()
+                    .push(format!("blocked@{} {span:?}", p.0));
+            }
             fn on_recv_matched(&mut self, p: ProcId, msg: &Message, _now: SimTime) {
                 self.events
                     .lock()
@@ -1470,11 +1416,15 @@ mod tests {
             }
         }
 
+        // Two observers on one run: each sees the whole stream.
         let events = Arc::new(Mutex::new(Vec::new()));
+        let second = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Sim::new(IdealNetwork::new(2, SimDuration::from_micros(1)));
-        sim.set_observer(Box::new(Recorder {
-            events: Arc::clone(&events),
-        }));
+        for sink in [&events, &second] {
+            sim.add_observer(Box::new(Recorder {
+                events: Arc::clone(sink),
+            }));
+        }
         sim.spawn(|ctx| {
             ctx.send(ProcId(1), Tag::app(0), 1u8, 1);
         });
@@ -1484,13 +1434,15 @@ mod tests {
         sim.run().unwrap();
 
         let log = events.lock().unwrap().clone();
+        assert_eq!(log, *second.lock().unwrap());
         let pos = |e: &str| {
             log.iter()
                 .position(|x| x == e)
                 .unwrap_or_else(|| panic!("missing event {e} in {log:?}"))
         };
         assert!(pos("send#0 0->1") < pos("match#0@1"), "{log:?}");
-        assert!(pos("recv@1") < pos("match#0@1"), "{log:?}");
+        assert!(pos("recv@1") < pos("blocked@1 (0, 1000)"), "{log:?}");
+        assert!(pos("blocked@1 (0, 1000)") < pos("match#0@1"), "{log:?}");
         assert!(pos("match#0@1") < pos("exit@1"), "{log:?}");
         assert_eq!(log.last().map(String::as_str), Some("finish"), "{log:?}");
     }
@@ -1507,7 +1459,7 @@ mod tests {
         }
         let seqs = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Sim::new(IdealNetwork::instantaneous(2));
-        sim.set_observer(Box::new(Seqs(Arc::clone(&seqs))));
+        sim.add_observer(Box::new(Seqs(Arc::clone(&seqs))));
         sim.spawn(|ctx| {
             for i in 0..4u64 {
                 ctx.send(ProcId(1), Tag::app(0), i, 8);

@@ -52,9 +52,7 @@ mod trace;
 
 pub use equeue::TieBreak;
 pub use error::{format_filter, PendingMessage, ProcFailure, SimError, WaitState};
-pub use kernel::{
-    set_default_sched_mode, HotProfile, KernelStats, ProcStats, RunOutcome, SchedMode, Sim,
-};
+pub use kernel::{HotProfile, KernelStats, ProcStats, RunOutcome, SchedMode, Sim};
 pub use message::{Filter, Message, Payload, Tag, TagFilter};
 pub use network::{FaultDisposition, FaultEvent, FaultKind, IdealNetwork, Network, Transfer};
 pub use observe::Observer;
@@ -62,13 +60,10 @@ pub use process::ProcCtx;
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceLog};
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a simulated processor (its rank, `0..nprocs`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProcId(pub usize);
 
 impl fmt::Display for ProcId {

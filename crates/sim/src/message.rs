@@ -26,9 +26,7 @@ use crate::ProcId;
 /// let t = Tag::app(7);
 /// assert_ne!(t, Tag::app(8));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tag(u32);
 
 impl Tag {

@@ -1,15 +1,18 @@
-//! Kernel event observation: the hook the communication sanitizer (and any
-//! other online analysis) attaches to.
+//! Kernel event observation: the one event stream that the execution trace,
+//! the communication sanitizer, the DAG recorder and any other online
+//! analysis attach to.
 //!
 //! An [`Observer`] receives a callback for every communication-relevant
-//! kernel event, in the kernel's deterministic event order. When no observer
-//! is installed the kernel pays a single `Option` check per event, so runs
-//! without analysis are unaffected.
+//! kernel event, in the kernel's deterministic event order. A run holds a
+//! list of observers (`Sim::add_observer`) and hands each event to every one
+//! of them; with none installed the kernel walks an empty list per event, so
+//! runs without analysis are unaffected.
 //!
 //! Observers run inside the kernel loop and must not block; they should
-//! record and return. State that must survive an aborted run (deadlock, time
-//! limit) belongs behind a shared handle (`Arc<Mutex<..>>`) owned by both the
-//! observer and the caller, since `Sim::run` consumes the observer.
+//! record and return. State that must outlive the run (or survive an aborted
+//! one: deadlock, time limit) belongs behind a shared handle
+//! (`Arc<Mutex<..>>`) owned by both the observer and the caller, since
+//! `Sim::run` consumes the observers.
 
 use crate::message::{Filter, Message};
 use crate::network::FaultEvent;
@@ -61,6 +64,15 @@ pub trait Observer: Send {
     /// because each one still costs a kernel scheduling slot, and replay
     /// tools that mirror the kernel's event order need the exact count.
     fn on_compute(&mut self, p: ProcId, start: SimTime, end: SimTime) {
+        let _ = (p, start, end);
+    }
+
+    /// Process `p` sat blocked in `recv` over `[start, end]`: `end` is the
+    /// instant the matching message resumed it, before the receive
+    /// overhead that [`Observer::on_recv_matched`] then reports. Fires only
+    /// for receives that actually blocked, immediately before their
+    /// `on_recv_matched`.
+    fn on_blocked(&mut self, p: ProcId, start: SimTime, end: SimTime) {
         let _ = (p, start, end);
     }
 

@@ -8,8 +8,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An absolute instant on the virtual clock, in nanoseconds since the start
 /// of the simulation.
 ///
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let t = SimTime::ZERO + SimDuration::from_millis(3);
 /// assert_eq!(t.as_nanos(), 3_000_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of virtual time, in nanoseconds.
@@ -36,9 +32,7 @@ pub struct SimTime(u64);
 /// let d = SimDuration::from_micros(20) * 3;
 /// assert_eq!(d.as_secs_f64(), 60e-6);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -1,17 +1,17 @@
 //! Execution tracing: records per-process activity intervals and message
 //! flows, exportable as Chrome trace JSON (`chrome://tracing`, Perfetto).
 //!
-//! Tracing is off by default (zero cost); enable it per run with
-//! [`crate::Sim::enable_tracing`].
+//! A [`TraceLog`] is an [`Observer`]: install one per run with
+//! [`crate::Sim::add_observer`] (behind a shared handle, to read it back
+//! after the run), or build a `numagap_rt::Machine` `with_tracing()`.
 
-use serde::{Deserialize, Serialize};
-
-use crate::message::Tag;
+use crate::message::{Message, Tag};
+use crate::observe::Observer;
 use crate::time::SimTime;
 use crate::ProcId;
 
 /// One recorded event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A process spent `[start, end)` computing.
     Compute {
@@ -49,7 +49,7 @@ pub enum TraceEvent {
 }
 
 /// A complete execution trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceLog {
     /// Events in recording order.
     pub events: Vec<TraceEvent>,
@@ -89,45 +89,6 @@ impl TraceLog {
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    pub(crate) fn compute(&mut self, rank: ProcId, start: SimTime, end: SimTime) {
-        if start != end {
-            self.events.push(TraceEvent::Compute {
-                rank: rank.0,
-                start,
-                end,
-            });
-        }
-    }
-
-    pub(crate) fn blocked(&mut self, rank: ProcId, start: SimTime, end: SimTime) {
-        if start != end {
-            self.events.push(TraceEvent::Blocked {
-                rank: rank.0,
-                start,
-                end,
-            });
-        }
-    }
-
-    pub(crate) fn message(
-        &mut self,
-        src: ProcId,
-        dst: ProcId,
-        tag: Tag,
-        bytes: u64,
-        sent: SimTime,
-        arrived: SimTime,
-    ) {
-        self.events.push(TraceEvent::Message {
-            src: src.0,
-            dst: dst.0,
-            tag,
-            bytes,
-            sent,
-            arrived,
-        });
     }
 
     /// Renders the trace in the Chrome trace-event JSON format. Load the
@@ -216,32 +177,74 @@ impl TraceLog {
     }
 }
 
+impl Observer for TraceLog {
+    fn on_compute(&mut self, p: ProcId, start: SimTime, end: SimTime) {
+        if start != end {
+            self.events.push(TraceEvent::Compute {
+                rank: p.0,
+                start,
+                end,
+            });
+        }
+    }
+
+    fn on_blocked(&mut self, p: ProcId, start: SimTime, end: SimTime) {
+        if start != end {
+            self.events.push(TraceEvent::Blocked {
+                rank: p.0,
+                start,
+                end,
+            });
+        }
+    }
+
+    fn on_send(&mut self, dst: ProcId, msg: &Message) {
+        self.events.push(TraceEvent::Message {
+            src: msg.src.0,
+            dst: dst.0,
+            tag: msg.tag,
+            bytes: msg.wire_bytes,
+            sent: msg.sent_at,
+            arrived: msg.arrived_at,
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    /// Feeds a message from `src` to `dst` through the observer hook.
+    fn message(log: &mut TraceLog, src: usize, dst: usize, tag: Tag, bytes: u64, span: (u64, u64)) {
+        let msg = Message {
+            seq: 0,
+            src: ProcId(src),
+            tag,
+            wire_bytes: bytes,
+            sent_at: SimTime::from_nanos(span.0),
+            arrived_at: SimTime::from_nanos(span.1),
+            payload: Arc::new(()),
+        };
+        log.on_send(ProcId(dst), &msg);
+    }
 
     #[test]
     fn intervals_of_zero_length_are_dropped() {
         let mut log = TraceLog::default();
-        log.compute(ProcId(0), SimTime::from_nanos(5), SimTime::from_nanos(5));
+        log.on_compute(ProcId(0), SimTime::from_nanos(5), SimTime::from_nanos(5));
+        log.on_blocked(ProcId(0), SimTime::from_nanos(5), SimTime::from_nanos(5));
         assert!(log.is_empty());
-        log.compute(ProcId(0), SimTime::from_nanos(5), SimTime::from_nanos(9));
+        log.on_compute(ProcId(0), SimTime::from_nanos(5), SimTime::from_nanos(9));
         assert_eq!(log.len(), 1);
     }
 
     #[test]
     fn chrome_json_is_structurally_sound() {
         let mut log = TraceLog::default();
-        log.compute(ProcId(0), SimTime::ZERO, SimTime::from_nanos(1000));
-        log.blocked(ProcId(1), SimTime::ZERO, SimTime::from_nanos(500));
-        log.message(
-            ProcId(0),
-            ProcId(1),
-            Tag::app(3),
-            64,
-            SimTime::from_nanos(100),
-            SimTime::from_nanos(400),
-        );
+        log.on_compute(ProcId(0), SimTime::ZERO, SimTime::from_nanos(1000));
+        log.on_blocked(ProcId(1), SimTime::ZERO, SimTime::from_nanos(500));
+        message(&mut log, 0, 1, Tag::app(3), 64, (100, 400));
         let json = log.to_chrome_json();
         assert!(json.starts_with("[\n"));
         assert!(json.trim_end().ends_with(']'));
@@ -265,20 +268,13 @@ mod tests {
     #[test]
     fn aggregations() {
         let mut log = TraceLog::default();
-        log.compute(ProcId(2), SimTime::ZERO, SimTime::from_nanos(100));
-        log.compute(
+        log.on_compute(ProcId(2), SimTime::ZERO, SimTime::from_nanos(100));
+        log.on_compute(
             ProcId(2),
             SimTime::from_nanos(200),
             SimTime::from_nanos(350),
         );
-        log.message(
-            ProcId(0),
-            ProcId(2),
-            Tag::app(0),
-            8,
-            SimTime::ZERO,
-            SimTime::from_nanos(50),
-        );
+        message(&mut log, 0, 2, Tag::app(0), 8, (0, 50));
         assert_eq!(log.compute_time_of(2).as_nanos(), 250);
         assert_eq!(log.compute_time_of(0).as_nanos(), 0);
         assert_eq!(log.message_count(), 1);

@@ -4,7 +4,7 @@
 //! must be detected.
 
 use numagap_analysis::{Analysis, DiagnosticKind};
-use numagap_apps::{AppId, Scale, SuiteConfig, Variant};
+use numagap_apps::{run_app_report, AppId, Scale, SuiteConfig, Variant};
 use numagap_cli::{check_app, waived};
 use numagap_net::das_spec;
 use numagap_rt::Machine;
@@ -385,6 +385,31 @@ fn chrome_trace_json_survives_hostile_names() {
         validate_json(&json).unwrap_or_else(|e| panic!("invalid JSON for {name:?}: {e}\n{json}"));
         assert!(json.contains("process_name"), "{json}");
     }
+}
+
+/// Tracing and the sanitizer observe one run side by side, and each sees
+/// exactly what it sees when installed alone: the same Chrome trace bytes
+/// as a trace-only run, the same findings as a sanitizer-only run.
+#[test]
+fn trace_and_sanitizer_compose_on_one_run() {
+    let cfg = SuiteConfig::at(Scale::Small);
+    let (app, variant) = (AppId::Asp, Variant::Unoptimized);
+    let machine = Machine::new(das_spec(2, 4, 10.0, 1.0));
+    let traced = machine.clone().with_tracing();
+    let nprocs = machine.spec().topology.nprocs();
+    let chrome =
+        |report: numagap_rt::RunReport<_>| report.trace.expect("tracing enabled").to_chrome_json();
+
+    let trace_only = chrome(run_app_report(app, &cfg, variant, &traced, None).unwrap());
+    let alone = Analysis::new(nprocs);
+    run_app_report(app, &cfg, variant, &machine, Some(alone.observer())).unwrap();
+    let both = Analysis::new(nprocs);
+    let report = run_app_report(app, &cfg, variant, &traced, Some(both.observer())).unwrap();
+
+    assert_eq!(chrome(report), trace_only);
+    assert!(!alone.diagnostics().is_empty(), "a finding to compare");
+    assert_eq!(both.diagnostics(), alone.diagnostics());
+    assert_eq!(both.counts(), alone.counts());
 }
 
 /// The validator itself must reject malformed documents (otherwise the test
